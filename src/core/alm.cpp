@@ -1,6 +1,9 @@
 #include "core/alm.hpp"
 
-#include "math/simd.hpp"
+#include <algorithm>
+#include <cmath>
+
+#include "math/legendre.hpp"
 
 namespace galactos::core {
 
@@ -17,80 +20,82 @@ void compute_alm(const math::SphHarmTable& table,
   }
 }
 
-SelfPairAccumulator::SelfPairAccumulator(const math::SphHarmTable& table,
-                                         const LlmIndex& llm, int nbins)
-    : table_(&table), llm_(&llm), nbins_(nbins) {
-  GLX_CHECK(table.lmax() == llm.lmax());
-  stride_ = (llm.size() + kLanes - 1) / kLanes * kLanes;
-  ylm_.resize(math::nlm(table.lmax()));
-  y1re_.reset(stride_);
-  y1im_.reset(stride_);
-  y2re_.reset(stride_);
-  y2im_.reset(stride_);
-  y1re_.fill(0.0);
-  y1im_.fill(0.0);
-  y2re_.fill(0.0);
-  y2im_.fill(0.0);
-  re_.reset(static_cast<std::size_t>(nbins) * stride_);
-  im_.reset(static_cast<std::size_t>(nbins) * stride_);
-  re_.fill(0.0);
-  im_.fill(0.0);
-  touched_.assign(nbins, 0);
-  touched_list_.reserve(nbins);
-}
+SelfPairTable::SelfPairTable(const math::SphHarmTable& table,
+                             const LlmIndex& llm)
+    : lmax_(llm.lmax()), nllm_(llm.size()) {
+  GLX_CHECK(table.lmax() == lmax_);
+  const int nmom = n_moments();
+  std::vector<double> nodes, weights;
+  math::gauss_legendre(nmom, nodes, weights);
 
-void SelfPairAccumulator::start_primary() {
-  for (int b : touched_list_) {
-    touched_[b] = 0;
-    double* r = re_.data() + static_cast<std::size_t>(b) * stride_;
-    double* i = im_.data() + static_cast<std::size_t>(b) * stride_;
-    for (int k = 0; k < stride_; ++k) r[k] = 0.0;
-    for (int k = 0; k < stride_; ++k) i[k] = 0.0;
+  // At phi = 0 every Y_lm is real: g[i][L] = (2L+1)/2 *
+  // sum_k weight_k Y_lm(mu_k) Y_l'm(mu_k) P_L(mu_k).
+  std::vector<double> ylm(math::nlm(lmax_)), pl(nmom);
+  g_.assign(static_cast<std::size_t>(nllm_) * nmom, 0.0);
+  for (int k = 0; k < nmom; ++k) {
+    const double mu = nodes[k];
+    const double s = std::sqrt(std::max(0.0, 1.0 - mu * mu));
+    for (int l = 0; l <= lmax_; ++l)
+      for (int m = 0; m <= l; ++m)
+        ylm[math::lm_index(l, m)] = table.eval(l, m, s, 0.0, mu).real();
+    math::legendre_all(nmom - 1, mu, pl.data());
+    for (int L = 0; L < nmom; ++L) pl[L] *= weights[k] * (L + 0.5);
+    for (int i = 0; i < nllm_; ++i) {
+      const double f = ylm[llm.alm_index_1()[i]] * ylm[llm.alm_index_2()[i]];
+      double* row = g_.data() + static_cast<std::size_t>(i) * nmom;
+      for (int L = 0; L < nmom; ++L) row[L] += f * pl[L];
+    }
   }
-  touched_list_.clear();
 }
 
-void SelfPairAccumulator::add(int bin, double ux, double uy, double uz,
-                              double w) {
-  namespace sd = math::simd;
+void SelfPairTable::expand(const double* moments, double* self) const {
+  const int nmom = n_moments();
+  for (int i = 0; i < nllm_; ++i) {
+    const double* row = g_.data() + static_cast<std::size_t>(i) * nmom;
+    double s = 0.0;
+    for (int L = 0; L < nmom; ++L) s += row[L] * moments[L];
+    self[i] = s;
+  }
+}
+
+SelfPairAccumulator::SelfPairAccumulator(const SelfPairTable& table,
+                                         int nbins)
+    : table_(&table), nbins_(nbins), nmom_(table.n_moments()) {
+  rec_a_.assign(nmom_, 0.0);
+  rec_b_.assign(nmom_, 0.0);
+  for (int L = 2; L < nmom_; ++L) {
+    rec_a_[L] = (2.0 * L - 1.0) / L;
+    rec_b_[L] = (L - 1.0) / L;
+  }
+  moments_.assign(static_cast<std::size_t>(nbins) * nmom_, 0.0);
+}
+
+void SelfPairAccumulator::add(int bin, double uz, double w) {
   GLX_DCHECK(bin >= 0 && bin < nbins_);
-  if (!touched_[bin]) {
-    touched_[bin] = 1;
-    touched_list_.push_back(bin);
+  const double s = wp_ * w * w;
+  double* __restrict row =
+      moments_.data() + static_cast<std::size_t>(bin) * nmom_;
+  row[0] += s;
+  if (nmom_ == 1) return;
+  // Bonnet recurrence on mu = uz; stable for |mu| <= 1.
+  double p0 = 1.0, p1 = uz;
+  row[1] += s * p1;
+  for (int L = 2; L < nmom_; ++L) {
+    const double p2 = rec_a_[L] * uz * p1 - rec_b_[L] * p0;
+    row[L] += s * p2;
+    p0 = p1;
+    p1 = p2;
   }
-  table_->eval_all(ux, uy, uz, ylm_.data());
+}
 
-  // Gather the two a_lm operands of every (l, l', m) triple into contiguous
-  // SoA lanes (the tails beyond llm size stay zero), then accumulate
-  // conj(y1) y2 with pure vector FMAs — no per-entry index chasing in the
-  // arithmetic loop.
-  const int n = llm_->size();
-  const int* __restrict i1 = llm_->alm_index_1().data();
-  const int* __restrict i2 = llm_->alm_index_2().data();
-  double* __restrict g1r = y1re_.data();
-  double* __restrict g1i = y1im_.data();
-  double* __restrict g2r = y2re_.data();
-  double* __restrict g2i = y2im_.data();
-  for (int i = 0; i < n; ++i) {
-    const std::complex<double> y1 = ylm_[i1[i]];
-    const std::complex<double> y2 = ylm_[i2[i]];
-    g1r[i] = y1.real();
-    g1i[i] = y1.imag();
-    g2r[i] = y2.real();
-    g2i[i] = y2.imag();
-  }
-
-  double* __restrict dr = re_.data() + static_cast<std::size_t>(bin) * stride_;
-  double* __restrict di = im_.data() + static_cast<std::size_t>(bin) * stride_;
-  const sd::DVec w2 = sd::dv_broadcast(w * w);
-  for (int i = 0; i < stride_; i += sd::DVec::kWidth) {
-    const sd::DVec r1 = sd::dv_load(g1r + i), m1 = sd::dv_load(g1i + i);
-    const sd::DVec r2 = sd::dv_load(g2r + i), m2 = sd::dv_load(g2i + i);
-    // conj(y1) * y2 = (r1 r2 + m1 m2) + i (r1 m2 - m1 r2)
-    const sd::DVec pre = sd::dv_fmadd(r1, r2, m1 * m2);
-    const sd::DVec pim = sd::dv_fmsub(r1, m2, m1 * r2);
-    sd::dv_store(dr + i, sd::dv_fmadd(w2, pre, sd::dv_load(dr + i)));
-    sd::dv_store(di + i, sd::dv_fmadd(w2, pim, sd::dv_load(di + i)));
+void SelfPairAccumulator::fold_into(ZetaAccumulator& zeta) {
+  GLX_CHECK(zeta.lmax() == table_->lmax() && zeta.nbins() == nbins_);
+  std::vector<double> self(static_cast<std::size_t>(zeta.llm().size()));
+  for (int b = 0; b < nbins_; ++b) {
+    double* row = moments_.data() + static_cast<std::size_t>(b) * nmom_;
+    table_->expand(row, self.data());
+    zeta.subtract_self(b, self.data());
+    std::fill(row, row + nmom_, 0.0);
   }
 }
 

@@ -250,6 +250,8 @@ void run_indexed_impl(const EngineConfig& cfg, const sim::Catalog& catalog,
   const int nlm = math::nlm(lmax);
   const math::SphHarmTable table(lmax);
   const LlmIndex llm(lmax);
+  std::optional<SelfPairTable> self_table;
+  if (cfg.subtract_self_pairs) self_table.emplace(table, llm);
 
   const std::int64_t halo_offset = static_cast<std::int64_t>(catalog.size());
 
@@ -320,7 +322,7 @@ void run_indexed_impl(const EngineConfig& cfg, const sim::Catalog& catalog,
     ZetaAccumulator zeta(lmax, nbins);
     TwoPcfAccumulator xi(lmax, nbins);
     std::optional<SelfPairAccumulator> sp;
-    if (cfg.subtract_self_pairs) sp.emplace(table, llm, nbins);
+    if (self_table) sp.emplace(*self_table, nbins);
     double q_time = 0, k_time = 0, z_time = 0;
     std::uint64_t my_cand = 0, my_skip = 0;
     // Communication progress hook (two-pass owned pass): only the master
@@ -378,11 +380,6 @@ void run_indexed_impl(const EngineConfig& cfg, const sim::Catalog& catalog,
         if (touched[b])
           xi.add_primary_bin(wp, b, acc.power_sums(b), table.monomials());
       zeta.add_primary(wp, alm.data(), touched.data());
-      if (sp)
-        for (int b = 0; b < nbins; ++b)
-          if (sp->bin_touched(b)) {
-            zeta.subtract_self(wp, b, sp->self_re(b), sp->self_im(b));
-          }
       z_time += tz.seconds();
     };
 
@@ -427,7 +424,8 @@ void run_indexed_impl(const EngineConfig& cfg, const sim::Catalog& catalog,
 
         Timer tk;
         acc.start_primary();
-        if (sp) sp->start_primary();
+        if (sp)
+          sp->start_primary(catalog.w[static_cast<std::size_t>(p)]);
         for (std::size_t j = 0; j < ps.count; ++j) {
           const int bin = cfg.bins.bin_of(ps.r[j]);
           if (bin < 0) continue;
@@ -437,7 +435,7 @@ void run_indexed_impl(const EngineConfig& cfg, const sim::Catalog& catalog,
           if (rotate) rot.apply(dx, dy, dz);
           const double inv = ps.inv[j];
           acc.push(bin, dx * inv, dy * inv, dz * inv, ps.w[j]);
-          if (sp) sp->add(bin, dx * inv, dy * inv, dz * inv, ps.w[j]);
+          if (sp) sp->add(bin, dz * inv, ps.w[j]);
         }
         acc.finish_primary();
         k_time += tk.seconds();
@@ -532,7 +530,8 @@ void run_indexed_impl(const EngineConfig& cfg, const sim::Catalog& catalog,
 
           Timer tk;
           acc.start_primary();
-          if (sp) sp->start_primary();
+          if (sp)
+            sp->start_primary(catalog.w[static_cast<std::size_t>(p)]);
           for (std::size_t j = 0; j < ps.count; ++j) {
             const int bin = cfg.bins.bin_of(ps.r[j]);
             if (bin < 0) continue;
@@ -542,7 +541,7 @@ void run_indexed_impl(const EngineConfig& cfg, const sim::Catalog& catalog,
             if (rotate) rot.apply(dx, dy, dz);
             const double inv = ps.inv[j];
             stage.add(bin, dx * inv, dy * inv, dz * inv, ps.w[j], acc);
-            if (sp) sp->add(bin, dx * inv, dy * inv, dz * inv, ps.w[j]);
+            if (sp) sp->add(bin, dz * inv, ps.w[j]);
           }
           stage.finish(acc);
           acc.finish_primary();
@@ -564,6 +563,7 @@ void run_indexed_impl(const EngineConfig& cfg, const sim::Catalog& catalog,
       }
     }
 
+    if (sp) sp->fold_into(zeta);
     zeta_parts[tid] = std::make_unique<ZetaAccumulator>(std::move(zeta));
     xi_parts[tid] = std::make_unique<TwoPcfAccumulator>(std::move(xi));
     pairs_parts[tid] = acc.pairs_processed();
@@ -666,6 +666,8 @@ void run_secondary_pass_impl(const EngineConfig& cfg,
   const int nlm = math::nlm(lmax);
   const math::SphHarmTable table(lmax);
   const LlmIndex llm(lmax);
+  std::optional<SelfPairTable> self_table;
+  if (cfg.subtract_self_pairs) self_table.emplace(table, llm);
 
   const int nthreads = cfg.threads > 0 ? cfg.threads : omp_get_max_threads();
   GLX_CHECK_MSG(nthreads == parts.nthreads,
@@ -740,7 +742,7 @@ void run_secondary_pass_impl(const EngineConfig& cfg,
       ZetaAccumulator& zeta = *parts.zeta[tid];
       TwoPcfAccumulator& xi = *parts.xi[tid];
       std::optional<SelfPairAccumulator> sp;
-      if (cfg.subtract_self_pairs) sp.emplace(table, llm, nbins);
+      if (self_table) sp.emplace(*self_table, nbins);
       double q_time = 0, k_time = 0, z_time = 0;
       std::uint64_t my_cand = 0;
 
@@ -777,7 +779,8 @@ void run_secondary_pass_impl(const EngineConfig& cfg,
 
       // Assembles B for one affected primary (A is already prepared by
       // restore_a or the recompute fallback) and adds the exact completion
-      // term plus the additive halo-side 2PCF / self terms.
+      // term plus the additive halo-side 2PCF terms (the halo-side
+      // self-pair moments were taken in the kernel loop).
       auto finish_cross = [&](std::int64_t p) {
         Timer tz;
         compute_alm(table, acc_b, alm_b.data(), touched_b.data());
@@ -787,11 +790,6 @@ void run_secondary_pass_impl(const EngineConfig& cfg,
             xi.add_primary_bin(wp, b, acc_b.power_sums(b), table.monomials());
         zeta.add_primary_cross(wp, alm_a.data(), touched_a.data(),
                                alm_b.data(), touched_b.data());
-        if (sp)
-          for (int b = 0; b < nbins; ++b)
-            if (sp->bin_touched(b)) {
-              zeta.subtract_self(wp, b, sp->self_re(b), sp->self_im(b));
-            }
         z_time += tz.seconds();
       };
 
@@ -823,7 +821,8 @@ void run_secondary_pass_impl(const EngineConfig& cfg,
 
           Timer tk;
           acc_b.start_primary();
-          if (sp) sp->start_primary();
+          if (sp)
+            sp->start_primary(catalog.w[static_cast<std::size_t>(p)]);
           std::uint64_t accepted = 0;
           for (std::size_t j = 0; j < ps.count; ++j) {
             const int bin = cfg.bins.bin_of(ps.r[j]);
@@ -834,7 +833,7 @@ void run_secondary_pass_impl(const EngineConfig& cfg,
             if (rotate) rot.apply(dx, dy, dz);
             const double inv = ps.inv[j];
             acc_b.push(bin, dx * inv, dy * inv, dz * inv, ps.w[j]);
-            if (sp) sp->add(bin, dx * inv, dy * inv, dz * inv, ps.w[j]);
+            if (sp) sp->add(bin, dz * inv, ps.w[j]);
             ++accepted;
           }
           acc_b.finish_primary();
@@ -950,7 +949,8 @@ void run_secondary_pass_impl(const EngineConfig& cfg,
 
             Timer tk;
             acc_b.start_primary();
-            if (sp) sp->start_primary();
+            if (sp)
+              sp->start_primary(catalog.w[static_cast<std::size_t>(p)]);
             std::uint64_t accepted = 0;
             for (std::size_t j = 0; j < ps.count; ++j) {
               const int bin = cfg.bins.bin_of(ps.r[j]);
@@ -961,7 +961,7 @@ void run_secondary_pass_impl(const EngineConfig& cfg,
               if (rotate) rot.apply(dx, dy, dz);
               const double inv = ps.inv[j];
               stage_b.add(bin, dx * inv, dy * inv, dz * inv, ps.w[j], acc_b);
-              if (sp) sp->add(bin, dx * inv, dy * inv, dz * inv, ps.w[j]);
+              if (sp) sp->add(bin, dz * inv, ps.w[j]);
               ++accepted;
             }
             stage_b.finish(acc_b);
@@ -1031,6 +1031,7 @@ void run_secondary_pass_impl(const EngineConfig& cfg,
         }
       }
 
+      if (sp) sp->fold_into(zeta);
       halo_parts[tid] = acc_b.pairs_processed();
       rec_parts[tid] = acc_a.pairs_processed();
       cand_parts[tid] = my_cand;

@@ -23,7 +23,8 @@
 //   - plane-parallel +z line of sight (a convolution has one global LOS);
 //   - bins.rmin() > 0 (excludes the zero-lag self cell) and
 //     bins.rmax() < box_side / 2 (minimum-image separations unambiguous);
-//   - subtract_self_pairs unsupported (needs per-pair Y products);
+//   - subtract_self_pairs unsupported (the j == k terms need each
+//     secondary's mu; the mesh has no discrete secondaries);
 //   - grid_n a power of two (radix-2 FFT).
 //
 // n_pairs is reported as 0: the mesh has no discrete pair count.

@@ -185,15 +185,11 @@ void ZetaAccumulator::add_primary_cross(double wp,
   }
 }
 
-void ZetaAccumulator::subtract_self(double wp, int bin, const double* self_re,
-                                    const double* self_im) {
+void ZetaAccumulator::subtract_self(int bin, const double* self) {
   const int nllm = llm_.size();
   const std::size_t base =
       static_cast<std::size_t>(bin_pair(bin, bin)) * nllm;
-  for (int i = 0; i < nllm; ++i) {
-    re_[base + i] -= wp * self_re[i];
-    im_[base + i] -= wp * self_im[i];
-  }
+  for (int i = 0; i < nllm; ++i) re_[base + i] -= self[i];
 }
 
 void ZetaAccumulator::merge(const ZetaAccumulator& other) {

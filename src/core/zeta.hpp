@@ -89,11 +89,12 @@ class ZetaAccumulator {
                          const std::complex<double>* alm_b,
                          const std::uint8_t* touched_b);
 
-  // Subtracts the degenerate j == k "triplet" contribution for diagonal bin
-  // pairs: self[llm] = sum_j w_j^2 conj(Y_lm(u_j)) Y_l'm(u_j), supplied as
-  // the SelfPairAccumulator's SoA real/imaginary planes in LlmIndex order.
-  void subtract_self(double wp, int bin, const double* self_re,
-                     const double* self_im);
+  // Subtracts the degenerate j == k "triplet" contribution from the
+  // diagonal bin pair (bin, bin): self[llm] = sum_p w_p sum_j w_j^2
+  // conj(Y_lm(u_j)) Y_l'm(u_j) in LlmIndex order, already summed over
+  // primaries. Same-m products are real, so only the real plane changes
+  // (SelfPairAccumulator::fold_into builds `self` from Legendre moments).
+  void subtract_self(int bin, const double* self);
 
   void merge(const ZetaAccumulator& other);
 

@@ -15,7 +15,7 @@
 // sequence no matter how many lanes a hardware vector holds. fmadd/fmsub
 // fuse on AVX2/AVX-512 and fall back to mul-then-add on the generic level;
 // use them only where cross-level bitwise identity is NOT required (the
-// self-pair a_lm accumulation, the batched Y_lm recurrence).
+// batched Y_lm recurrence).
 #pragma once
 
 #include <cstddef>

@@ -83,7 +83,7 @@ class SphHarmTable {
                             double uz) const;
 
   // Evaluates Y_lm for all (l, m >= 0) at once into ylm[nlm(lmax)],
-  // reusing shared power tables. Used by baselines and self-pair correction.
+  // reusing shared power tables. Reference path for tests.
   void eval_all(double ux, double uy, double uz,
                 std::complex<double>* ylm) const;
 

@@ -1,7 +1,7 @@
 // Recurrence-based Y_lm evaluation — O(1) work per (l, m).
 //
 // Used where per-point spherical harmonics are needed directly (the
-// isotropic Legendre baseline of §2.3 and the self-pair correction) instead
+// isotropic Legendre baseline of §2.3 and the brute-force oracles) instead
 // of the power-sum kernel. Writing Y_lm = N_lm Q_lm(z) (x+iy)^m with
 // Q_lm = P_lm / sin^m(theta) keeps everything polynomial in (x, y, z):
 //   Q_mm     = (-1)^m (2m-1)!!

@@ -6,6 +6,7 @@
 #include "baseline/brute3pcf.hpp"
 #include "core/engine.hpp"
 #include "sim/generators.hpp"
+#include "sim/mask.hpp"
 #include "test_helpers.hpp"
 
 namespace b = galactos::baseline;
@@ -186,4 +187,58 @@ TEST(OracleConsistency, DegenerateTermsOnlyAffectDiagonal) {
   EXPECT_GT(std::abs(with.zeta_m(0, 0, 0, 0, 0) -
                      without.zeta_m(0, 0, 0, 0, 0)),
             1e-6);
+}
+
+// Survey configuration end to end: radial LOS, lmax 6, a D - R contrast
+// catalog (randoms carry negative weights) and self-pair subtraction, for
+// both traversal drivers and the two-pass staged path. The staged run is
+// checked by splitting the catalog into two owned halves, each seeing the
+// other as its halo, and summing the per-half results — the distributed
+// reduction on two ranks. Against the oracle the tolerance is the suite's
+// 1e-9: on the D - R diagonal, |a|^2 minus the self term cancels to ~1e-11
+// relative in any summation order. Two-pass against fused keeps 1e-11.
+TEST(EngineVsOracleSurvey, RadialDataMinusRandomsSelfPairs) {
+  b::OracleConfig ocfg;
+  ocfg.bins = c::RadialBins(2.0, 22.0, 3);
+  ocfg.lmax = 6;
+  ocfg.los = c::LineOfSight::kRadial;
+  ocfg.observer = {-45.0, -30.0, -55.0};
+  ocfg.include_degenerate = false;
+  const s::Catalog data = galactos::testing::clumpy_catalog(60, 30.0, 121);
+  const s::Catalog randoms = s::uniform_box(90, s::Aabb::cube(30.0), 122);
+  const s::Catalog cat = s::data_minus_randoms(data, randoms);
+  bool has_negative = false;
+  for (double w : cat.w) has_negative = has_negative || w < 0.0;
+  ASSERT_TRUE(has_negative);
+
+  const c::ZetaResult oracle = b::brute_force_triplets(cat, ocfg);
+  c::EngineConfig cfg = engine_cfg(ocfg);
+  ASSERT_TRUE(cfg.subtract_self_pairs);
+  for (c::TraversalMode traversal :
+       {c::TraversalMode::kPerPrimary, c::TraversalMode::kLeafBlocked}) {
+    cfg.tree.traversal = traversal;
+    cfg.tree.leaf_size = 8;  // enough leaves that leaf-blocked engages
+    SCOPED_TRACE(traversal == c::TraversalMode::kPerPrimary ? "per-primary"
+                                                            : "leaf-blocked");
+    const c::Engine engine(cfg);
+    const c::ZetaResult fused = engine.run(cat);
+    expect_results_match(fused, oracle, 1e-9, 1e-9);
+
+    s::Catalog left, right;
+    for (std::size_t i = 0; i < cat.size(); ++i)
+      (cat.x[i] < 15.0 ? left : right)
+          .push_back(cat.x[i], cat.y[i], cat.z[i], cat.w[i]);
+    ASSERT_FALSE(left.empty());
+    ASSERT_FALSE(right.empty());
+    c::ZetaResult two_pass = c::ZetaResult::zero_like(ocfg.bins, ocfg.lmax);
+    for (const auto& [owned, halo] :
+         {std::pair{&left, &right}, std::pair{&right, &left}}) {
+      c::Engine::Staged staged = engine.build_index(*owned);
+      staged.run_owned_pass();
+      staged.extend_with_secondaries(*halo);
+      two_pass.accumulate(staged.run_secondary_pass());
+    }
+    expect_results_match(two_pass, fused, 1e-11, 1e-11);
+    expect_results_match(two_pass, oracle, 1e-9, 1e-9);
+  }
 }

@@ -4,7 +4,7 @@
 //            [--randoms randoms.txt] [--periodic-box 3000] [--radial-los] \
 //            [--observer-x 0 --observer-y 0 --observer-z 0] \
 //            [--ranks 4] [--threads 0] [--double-precision] \
-//            [--subtract-self] [--output zeta] [--binary]
+//            [--subtract-self] [--output zeta] [--binary] [--help]
 //
 // Input: text (x y z [w], '#' comments, commas allowed) or the GLXCAT01
 // binary format (by .bin extension). Three estimator modes:
@@ -37,8 +37,21 @@ sim::Catalog load(const std::string& path) {
 }  // namespace
 
 namespace {
+
+constexpr const char* kUsage =
+    "usage: galactos --input <catalog> [--randoms <catalog>]\n"
+    "  [--rmin 1] --rmax <R> [--nbins 10] [--lmax 10]\n"
+    "  [--log-bins] [--periodic-box <side>] [--radial-los]\n"
+    "  [--observer-{x,y,z} 0] [--ranks 1] [--halo-mode full|let]\n"
+    "  [--threads 0]\n"
+    "  [--double-precision] [--subtract-self]\n"
+    "  [--backend tree|fft] [--grid-n 128]\n"
+    "  [--assignment ngp|cic|tsc] [--interlace 0|1]\n"
+    "  [--output zeta] [--binary] [--help]\n";
+
 int run(int argc, char** argv);
-}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   try {
@@ -53,6 +66,10 @@ namespace {
 
 int run(int argc, char** argv) {
   ArgParser args(argc, argv);
+  if (args.flag("help")) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
   const std::string input = args.get_str("input", "");
   const std::string randoms_path = args.get_str("randoms", "");
   const std::string output = args.get_str("output", "zeta");
@@ -81,16 +98,7 @@ int run(int argc, char** argv) {
   args.finish();
 
   if (input.empty()) {
-    std::fprintf(stderr,
-                 "usage: galactos --input <catalog> [--randoms <catalog>]\n"
-                 "  [--rmin 1] --rmax <R> [--nbins 10] [--lmax 10]\n"
-                 "  [--log-bins] [--periodic-box <side>] [--radial-los]\n"
-                 "  [--observer-{x,y,z} 0] [--ranks 1] [--halo-mode full|let]\n"
-                 "  [--threads 0]\n"
-                 "  [--double-precision] [--subtract-self]\n"
-                 "  [--backend tree|fft] [--grid-n 128]\n"
-                 "  [--assignment ngp|cic|tsc] [--interlace 0|1]\n"
-                 "  [--output zeta] [--binary]\n");
+    std::fputs(kUsage, stderr);
     return 2;
   }
 

@@ -42,8 +42,22 @@ sim::Catalog load(const std::string& path) {
   return io::read_catalog_text(path);
 }
 
+constexpr const char* kUsage =
+    "usage: galactos_dist_main [--input <catalog> | --n 100000 --seed 12345]\n"
+    "  [--rmin rmax/nbins] [--rmax 16] [--nbins 10] [--lmax 10]\n"
+    "  [--ranks 4 (threads) | mpirun world (MPI)] [--threads 1]\n"
+    "  [--timeout-s 0] [--policy pair|primary]\n"
+    "  [--overlap two-pass|index|sequential] [--halo-mode full|let]\n"
+    "  [--let-f32] [--backend tree|fft] [--grid-n 128]\n"
+    "  [--assignment ngp|cic|tsc] [--interlace 0|1]\n"
+    "  [--periodic-box <side>] [--output <prefix>] [--json <file>] [--help]\n";
+
 int run_with_session(dist::Session& session, int argc, char** argv) {
   ArgParser args(argc, argv);
+  if (args.flag("help")) {
+    if (session.is_root()) std::fputs(kUsage, stdout);
+    return 0;
+  }
   const std::string input = args.get_str("input", "");
   const std::size_t n = args.get<std::size_t>("n", 100000);
   const std::uint64_t seed = args.get<std::uint64_t>("seed", 12345);
@@ -77,13 +91,13 @@ int run_with_session(dist::Session& session, int argc, char** argv) {
   const std::string output = args.get_str("output", "");
   const std::string json_path = args.get_str("json", "");
   // Estimator backend: tree (k-d partition + halo pipeline, the default)
-  // or fft (slab-decomposed mesh estimator; periodic box required — --box
-  // for file input, the synthetic box side is known).
+  // or fft (slab-decomposed mesh estimator; periodic box required —
+  // --periodic-box for file input, the synthetic box side is known).
   const std::string backend = args.get_str("backend", "tree");
   const int grid_n = args.get<int>("grid-n", 128);
   const std::string assignment = args.get_str("assignment", "tsc");
   const int interlace = args.get<int>("interlace", 1);
-  const double box = args.get<double>("box", 0.0);
+  const double box = args.get<double>("periodic-box", 0.0);
   args.finish();
 
   const bool root = session.is_root();
@@ -138,7 +152,7 @@ int run_with_session(dist::Session& session, int argc, char** argv) {
     if (side <= 0.0 && input.empty()) side = sim::outer_rim_box_side(n);
     if (side <= 0.0)
       throw std::runtime_error(
-          "--backend fft with --input needs --box <side> (periodic box)");
+          "--backend fft with --input needs --periodic-box <side>");
     cfg.engine.fft.box_side = side;
     cfg.engine.fft.grid_n = static_cast<std::size_t>(grid_n);
     cfg.engine.fft.assignment = core::assignment_from_name(assignment);
