@@ -8,7 +8,8 @@
 //   neighbor index             (k-d tree vs cell grid)
 //   tree precision             (mixed vs double; paper: 9% end-to-end)
 //   k-d leaf size
-//   self-pair correction       (subtract_self_pairs; printed as a ratio)
+//   self-pair correction       (subtract_self_pairs; printed as a ratio
+//                               and gated: exit 1 above 3x the default)
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -18,6 +19,10 @@ using namespace galactos;
 using namespace galactos::bench;
 
 namespace {
+
+// The closed-form self-pair correction must cost at most this multiple of
+// the default configuration.
+constexpr double kSelfPairMaxRatio = 3.0;
 
 // Best of three runs — the knobs differ by a few percent, below the
 // run-to-run noise of a single measurement.
@@ -100,7 +105,16 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
   t.print();
+  const double self_ratio = t_self / t_base;
   print_kv("self-pair corr. / default",
-           fmt(t_self / t_base, "%.2fx") + " (target <= 3x)");
+           fmt(self_ratio, "%.2fx") + " (gate <= " +
+               fmt(kSelfPairMaxRatio, "%.0f") + "x)");
+  if (self_ratio > kSelfPairMaxRatio) {
+    std::fprintf(stderr,
+                 "bench_ablation: self-pair correction costs %.2fx the "
+                 "default, above the %.0fx gate\n",
+                 self_ratio, kSelfPairMaxRatio);
+    return 1;
+  }
   return 0;
 }

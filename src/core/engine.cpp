@@ -7,6 +7,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <type_traits>
 
 #include "core/alm.hpp"
 #include "core/fft_estimator.hpp"
@@ -20,12 +21,6 @@ namespace galactos::core {
 
 namespace detail {
 
-// Per-thread partial accumulators parked in the Staged handle between the
-// owned pass and the secondary pass. In the fused run_indexed path the
-// same partials live on the stack for the duration of one call; the
-// two-pass pipeline moves their lifetime here so pass 2 can keep adding
-// into the exact per-thread slots pass 1 filled, and the final merge runs
-// in the same thread-id order either way.
 // Owned-only power sums snapshotted during pass 1 for primaries that might
 // see halo secondaries (within R_max of the SecondaryBound box). One
 // instance per thread; concatenated SoA records, looked up by primary id
@@ -38,6 +33,11 @@ struct SavedPrimaries {
   std::vector<double> sums;        // concatenated [n_mono] blocks
 };
 
+// Per-thread partial accumulators. The fused run_indexed path keeps them
+// for the duration of one call; the two-pass pipeline parks them in the
+// Staged handle between the owned pass and the secondary pass, so pass 2
+// keeps adding into the exact per-thread slots pass 1 filled and the final
+// merge runs in the same thread-id order either way.
 struct TraversalPartials {
   int nthreads = 0;
   std::vector<std::unique_ptr<ZetaAccumulator>> zeta;
@@ -50,23 +50,20 @@ struct TraversalPartials {
 
 namespace {
 
-// `for_secondary`: halo indexes answer only per-point and per-box queries
-// (never gather_leaf_neighbors), so they skip the interaction-list build;
-// the Morton layout is shared with the primary build.
+// Primary indexes always get the Morton layout and per-leaf interaction
+// lists at R_max. Halo indexes (`for_secondary`) answer only per-point and
+// per-box queries, never gather_leaf_neighbors, so they skip the lists.
 template <typename Real, typename Index>
 Index make_index(const sim::Catalog& catalog, const EngineConfig& cfg,
                  bool for_secondary) {
-  const double ilist_rmax =
-      (!for_secondary && cfg.tree.interaction_lists) ? cfg.bins.rmax() : 0.0;
+  const double ilist_rmax = for_secondary ? 0.0 : cfg.bins.rmax();
   if constexpr (std::is_same_v<Index, tree::KdTree<Real>>) {
     typename tree::KdTree<Real>::BuildParams bp;
     bp.leaf_size = cfg.tree.leaf_size;
-    bp.morton = cfg.tree.morton_order;
     bp.interaction_rmax = ilist_rmax;
     return tree::KdTree<Real>(catalog, bp);
   } else {
     typename tree::CellGrid<Real>::BuildParams bp;
-    bp.morton = cfg.tree.morton_order;
     bp.interaction_rmax = ilist_rmax;
     return tree::CellGrid<Real>(catalog, cfg.bins.rmax(), bp);
   }
@@ -93,8 +90,7 @@ class PairStage {
   std::vector<double> dx, dy, dz, r, inv, w;
 
   // `r2max` in index precision (pass infinity when the block is already
-  // range-filtered); `self` is the primary's catalog index (-1 to keep
-  // every candidate, e.g. for disjoint halo blocks).
+  // range-filtered); `self` is the primary's catalog index.
   template <typename Real>
   void fill(const Real* sdx, const Real* sdy, const Real* sdz,
             const Real* sr2, const double* sw, const std::int64_t* sidx,
@@ -151,8 +147,6 @@ class BinStage {
     touched_.reserve(nbins);
   }
 
-  int capacity() const { return cap_; }
-
   // Appends one accepted pair; drains the bin when its segment fills.
   void add(int bin, double ux, double uy, double uz, double w,
            MultipoleAccumulator& acc) {
@@ -195,9 +189,7 @@ class BinStage {
 };
 
 // Forms one primary's separations against a gathered block (SIMD
-// subtraction + squared norm). ONE definition shared by the fused
-// traversal and both two-pass call sites, so the pass-1 vs pass-2
-// bitwise-A guarantee cannot be broken by divergent arithmetic.
+// subtraction + squared norm).
 template <typename Real>
 inline void form_separations(const tree::NeighborBlock<Real>& block, Real px,
                              Real py, Real pz, Real* __restrict dxv,
@@ -220,877 +212,605 @@ inline void form_separations(const tree::NeighborBlock<Real>& block, Real px,
 }
 
 // Number of leaf-blocked leaves (resp. per-primary primaries) the master
-// thread processes between poll() invocations during the owned pass.
+// thread processes between poll() invocations.
 constexpr int kPollLeafStride = 4;
 constexpr int kPollPrimaryStride = 256;
 
-// Traversal over prebuilt indexes. `catalog` holds the owned points (the
-// only ones that can act as primaries); `secondary`, when given, indexes
-// halo points that act as secondaries only — its candidates are unioned
-// with the primary index's per leaf (leaf-blocked) or per primary
-// (per-primary), with original indices offset by catalog.size() so they can
-// never collide with a primary index.
-//
-// When `park` is non-null the per-thread partials are moved into it
-// instead of being merged (`result` is left untouched) — the two-pass
-// owned pass. `poll`, when set, is called from the master thread between
-// leaf/primary batches; `bound`, when set with `park`, snapshots boundary
-// primaries' power sums for the secondary pass (see Staged::run_owned_pass).
+// Read-only state of one traversal, shared by every thread and by both
+// pass bodies. `catalog` holds the owned points (the only ones that can act
+// as primaries); `secondary`, when given, indexes halo points that act as
+// secondaries only.
 template <typename Real, typename Index>
-void run_indexed_impl(const EngineConfig& cfg, const sim::Catalog& catalog,
-                      const Index& index, const Index* secondary,
-                      const std::vector<std::int64_t>* primaries,
-                      ZetaResult& result, EngineStats& stats,
-                      detail::TraversalPartials* park = nullptr,
-                      const std::function<void()>& poll = {},
-                      const Engine::SecondaryBound* bound = nullptr) {
-  Timer wall;
-  const int nbins = cfg.bins.count();
-  const int lmax = cfg.lmax;
-  const int nlm = math::nlm(lmax);
-  const math::SphHarmTable table(lmax);
-  const LlmIndex llm(lmax);
+struct Traversal {
+  Traversal(const EngineConfig& c, const sim::Catalog& cat, const Index& idx,
+            const Index* sec, const std::vector<std::int64_t>* prim)
+      : cfg(c),
+        catalog(cat),
+        index(idx),
+        secondary(sec),
+        primaries(prim),
+        nbins(c.bins.count()),
+        nlm(math::nlm(c.lmax)),
+        nthreads(c.threads > 0 ? c.threads : omp_get_max_threads()),
+        table(c.lmax),
+        llm(c.lmax) {
+    if (cfg.subtract_self_pairs) self_table.emplace(table, llm);
+    kc.lmax = cfg.lmax;
+    kc.nbins = nbins;
+    kc.bucket_capacity = cfg.tree.bucket_capacity;
+    kc.scheme = cfg.tree.scheme;
+    kc.ilp = cfg.tree.ilp;
+    // Too few leaves starve a leaf-parallel run (e.g. a CellGrid whose
+    // extent is a handful of R_max cells); the per-primary driver computes
+    // the same answer, so fall back to it rather than idle most threads.
+    blocked = cfg.tree.traversal == TraversalMode::kLeafBlocked &&
+              index.leaf_count() >= 2 * static_cast<std::size_t>(nthreads);
+    // Leaves hold points in index order, so the leaf-blocked driver tests
+    // a subset of primaries per point.
+    if (primaries && blocked) {
+      is_primary.assign(catalog.size(), 0);
+      for (std::int64_t p : *primaries)
+        is_primary[static_cast<std::size_t>(p)] = 1;
+    }
+  }
+
+  double weight(std::int64_t p) const {
+    return catalog.w[static_cast<std::size_t>(p)];
+  }
+
+  Timer wall;  // first member: starts before the tables are built
+  const EngineConfig& cfg;
+  const sim::Catalog& catalog;
+  const Index& index;
+  const Index* secondary;
+  const std::vector<std::int64_t>* primaries;
+  int nbins, nlm, nthreads;
+  math::SphHarmTable table;
+  LlmIndex llm;
   std::optional<SelfPairTable> self_table;
-  if (cfg.subtract_self_pairs) self_table.emplace(table, llm);
-
-  const std::int64_t halo_offset = static_cast<std::int64_t>(catalog.size());
-
-  const std::int64_t np =
-      primaries ? static_cast<std::int64_t>(primaries->size())
-                : static_cast<std::int64_t>(catalog.size());
-
-  const int nthreads =
-      cfg.threads > 0 ? cfg.threads : omp_get_max_threads();
-
-  // Too few leaves starve a leaf-parallel run (e.g. a CellGrid whose
-  // extent is a handful of R_max cells); the per-primary driver computes
-  // the same answer, so fall back to it rather than idle most threads.
-  TraversalMode traversal = cfg.tree.traversal;
-  if (traversal == TraversalMode::kLeafBlocked &&
-      index.leaf_count() < 2 * static_cast<std::size_t>(nthreads))
-    traversal = TraversalMode::kPerPrimary;
-
-  // Membership mask for the leaf-blocked driver: leaves hold points in
-  // index order, so a subset of primaries is tested per point.
+  KernelConfig kc;
+  bool blocked = false;  // leaf-blocked driver (after the fallback)
   std::vector<std::uint8_t> is_primary;
-  if (primaries && traversal == TraversalMode::kLeafBlocked) {
-    is_primary.assign(catalog.size(), 0);
-    for (std::int64_t p : *primaries)
-      is_primary[static_cast<std::size_t>(p)] = 1;
+};
+
+// Per-thread phase times and counters, reduced in thread-id order.
+struct Tally {
+  double query = 0, kernel = 0, zeta = 0;
+  std::uint64_t candidates = 0, skipped = 0;
+  std::uint64_t pairs = 0;         // new physical pairs
+  std::uint64_t kernel_pairs = 0;  // executed kernel pairs
+};
+
+// One primary's candidate secondaries from the owned index, the halo index,
+// or their union (halo ids offset by the owned catalog size so they can
+// never collide with a primary). In leaf-blocked mode the current leaf's
+// block is gathered once — lazily, for the first primary that asks — and
+// shared by the leaf's ~leaf_size primaries while it is hot in cache: each
+// forms its separations by SIMD subtraction and range-filters on the Real
+// r2 (bitwise the accept set and order a per-primary index query computes).
+// In per-primary mode every primary runs its own index query, whose r2 is
+// already range-filtered; rotation preserves the norm, so binning uses the
+// stored value. Gather, separation formation and the filter are all
+// neighbor-search work and count toward the "neighbor query" phase.
+template <typename Real, typename Index>
+class Candidates {
+ public:
+  Candidates(const Traversal<Real, Index>& tv, bool owned, bool halo)
+      : tv_(tv),
+        owned_(owned ? &tv.index : nullptr),
+        halo_(halo ? tv.secondary : nullptr) {}
+
+  void start_leaf(std::size_t leaf) {
+    leaf_ = leaf;
+    ready_ = false;
   }
 
-  // Conservative "might see a secondary" margin for the bound hint: the
-  // Real-precision accept filter can admit pairs a few ulps beyond R_max,
-  // so pad the shell the same way the cell grid pads its box walk.
-  const bool save_boundary = park != nullptr && bound != nullptr;
-  double bound_pad = 0.0;
-  if (save_boundary) {
-    park->saved.resize(static_cast<std::size_t>(nthreads));
-    const double max_abs = std::max(
-        {std::abs(bound->lo.x), std::abs(bound->lo.y), std::abs(bound->lo.z),
-         std::abs(bound->hi.x), std::abs(bound->hi.y),
-         std::abs(bound->hi.z)});
-    const double eps =
-        static_cast<double>(std::numeric_limits<Real>::epsilon());
-    bound_pad = cfg.bins.rmax() * (1.0 + 1e-5) +
-                8.0 * eps * (max_abs + cfg.bins.rmax());
+  // Stages primary `p` (owned-index storage slot `t`, read in leaf-blocked
+  // mode) into `ps`; returns the number of candidates examined.
+  std::size_t stage(std::int64_t p, std::size_t t, PairStage& ps,
+                    double& query_time) {
+    Timer tq;
+    const double rmax = tv_.cfg.bins.rmax();
+    std::size_t n = 0;
+    if (tv_.blocked) {
+      if (!ready_) gather_leaf();
+      n = block_.size();
+      form_separations(block_, tv_.index.x(t), tv_.index.y(t),
+                       tv_.index.z(t), sdx_.data(), sdy_.data(), sdz_.data(),
+                       sr2_.data());
+      const Real r2max = static_cast<Real>(rmax) * static_cast<Real>(rmax);
+      ps.fill(sdx_.data(), sdy_.data(), sdz_.data(), sr2_.data(),
+              block_.w.data(), block_.idx.data(), n, r2max, p);
+    } else {
+      const sim::Vec3 pos = tv_.catalog.position(static_cast<std::size_t>(p));
+      nl_.clear();
+      if (owned_) owned_->gather_neighbors(pos.x, pos.y, pos.z, rmax, nl_);
+      if (halo_) {
+        const std::size_t before = nl_.size();
+        halo_->gather_neighbors(pos.x, pos.y, pos.z, rmax, nl_);
+        offset_halo(nl_.idx, before);
+      }
+      n = nl_.size();
+      ps.fill(nl_.dx.data(), nl_.dy.data(), nl_.dz.data(), nl_.r2.data(),
+              nl_.w.data(), nl_.idx.data(), n,
+              std::numeric_limits<Real>::infinity(), p);
+    }
+    query_time += tq.seconds();
+    return n;
   }
 
-  // Per-thread partial accumulators, merged in thread-id order after the
-  // parallel region so results are bit-identical run to run.
-  std::vector<std::unique_ptr<ZetaAccumulator>> zeta_parts(nthreads);
-  std::vector<std::unique_ptr<TwoPcfAccumulator>> xi_parts(nthreads);
-  std::vector<std::uint64_t> pairs_parts(nthreads, 0), cand_parts(nthreads, 0),
-      skip_parts(nthreads, 0);
-  std::vector<double> tq_parts(nthreads, 0), tk_parts(nthreads, 0),
-      tz_parts(nthreads, 0);
+ private:
+  void gather_leaf() {
+    const double rmax = tv_.cfg.bins.rmax();
+    block_.clear();
+    if (owned_) owned_->gather_leaf_neighbors(leaf_, rmax, block_);
+    if (halo_) {
+      Real lo[3], hi[3];
+      tv_.index.leaf_box(leaf_, lo, hi);
+      const std::size_t before = block_.size();
+      halo_->gather_box_neighbors(lo, hi, rmax, block_);
+      offset_halo(block_.idx, before);
+    }
+    const std::size_t m = block_.size();
+    sdx_.resize(m);
+    sdy_.resize(m);
+    sdz_.resize(m);
+    sr2_.resize(m);
+    ready_ = true;
+  }
+
+  void offset_halo(std::vector<std::int64_t>& idx, std::size_t from) const {
+    const std::int64_t offset = static_cast<std::int64_t>(tv_.catalog.size());
+    for (std::size_t j = from; j < idx.size(); ++j) idx[j] += offset;
+  }
+
+  const Traversal<Real, Index>& tv_;
+  const Index* owned_;
+  const Index* halo_;
+  tree::NeighborList<Real> nl_;
+  tree::NeighborBlock<Real> block_;
+  std::vector<Real> sdx_, sdy_, sdz_, sr2_;
+  std::size_t leaf_ = 0;
+  bool ready_ = false;
+};
+
+// One a_lm pipeline: kernel accumulator, the leaf-blocked driver's bin
+// staging, and the assembled a_lm.
+struct AlmPipe {
+  AlmPipe(const KernelConfig& kc, int nlm)
+      : acc(kc),
+        stage(kc.nbins, kc.bucket_capacity),
+        alm(static_cast<std::size_t>(kc.nbins) * nlm),
+        touched(kc.nbins, 0) {}
+
+  // Runs the kernel over one primary's staged pairs: bin, rotate into the
+  // primary's LOS frame (`rot`, when set), normalize, then hand each pair
+  // over bucket-at-a-time through the bin stage (`blocked`) or one at a
+  // time. `sp`, when set, takes each secondary's self-pair moment. Returns
+  // the number of pairs the kernel accepted.
+  std::uint64_t consume(const PairStage& ps, const RadialBins& bins,
+                        const Rotation* rot, bool blocked,
+                        SelfPairAccumulator* sp) {
+    acc.start_primary();
+    std::uint64_t accepted = 0;
+    if (blocked) {
+      accepted = bin_pairs(ps, bins, rot, sp,
+                           [&](int b, double ux, double uy, double uz,
+                               double w) { stage.add(b, ux, uy, uz, w, acc); });
+      stage.finish(acc);
+    } else {
+      accepted = bin_pairs(ps, bins, rot, sp,
+                           [&](int b, double ux, double uy, double uz,
+                               double w) { acc.push(b, ux, uy, uz, w); });
+    }
+    acc.finish_primary();
+    return accepted;
+  }
+
+  // a_lm from the kernel's power sums; `xi`, when set, also takes this
+  // primary's 2PCF moments.
+  void assemble(const math::SphHarmTable& table, double wp,
+                TwoPcfAccumulator* xi) {
+    compute_alm(table, acc, alm.data(), touched.data());
+    if (!xi) return;
+    for (int b = 0; b < static_cast<int>(touched.size()); ++b)
+      if (touched[b])
+        xi->add_primary_bin(wp, b, acc.power_sums(b), table.monomials());
+  }
+
+  MultipoleAccumulator acc;
+  BinStage stage;
+  std::vector<std::complex<double>> alm;
+  std::vector<std::uint8_t> touched;
+
+ private:
+  template <typename Push>
+  static std::uint64_t bin_pairs(const PairStage& ps, const RadialBins& bins,
+                                 const Rotation* rot, SelfPairAccumulator* sp,
+                                 Push&& push) {
+    std::uint64_t accepted = 0;
+    for (std::size_t j = 0; j < ps.count; ++j) {
+      const int bin = bins.bin_of(ps.r[j]);
+      if (bin < 0) continue;
+      double dx = ps.dx[j];
+      double dy = ps.dy[j];
+      double dz = ps.dz[j];
+      if (rot) rot->apply(dx, dy, dz);
+      const double inv = ps.inv[j];
+      push(bin, dx * inv, dy * inv, dz * inv, ps.w[j]);
+      if (sp) sp->add(bin, dz * inv, ps.w[j]);
+      ++accepted;
+    }
+    return accepted;
+  }
+};
+
+// The one traversal skeleton (Algorithm 1's outer loop, §3.3). It owns the
+// OpenMP region, the driver (per primary, or per leaf with the primaries a
+// leaf stores), the LOS rotation and observer skip, scheduling, the poll
+// hook, the per-thread phase/counter reduction, and the ending: merge the
+// per-thread partials into `result`, or leave them parked in `parts` when
+// `result` is null (pass 1 of the two-pass pipeline).
+//
+// What a pass does per primary lives in its Body, built once per thread by
+// `make_body(tid)`:
+//   bool wants_leaf(leaf)         leaf-level prune before any gather
+//   void start_leaf(leaf)         a new leaf's primaries follow
+//   void primary(p, t, rot, tally)
+//   void finish(tally)            fold self pairs, report pair counts
+//   kOwnsPrimaries                false for the completion pass, which only
+//                                 adds to primaries pass 1 already counted
+//
+// `poll`, when set, is called from the master thread — the rank's own OS
+// thread, so single-threaded MPI progress rules hold — every few leaves or
+// primaries, so the caller can progress outstanding communication.
+template <typename Real, typename Index, typename MakeBody>
+void traverse(const Traversal<Real, Index>& tv,
+              detail::TraversalPartials& parts, ZetaResult* result,
+              EngineStats& stats, const std::function<void()>& poll,
+              MakeBody&& make_body) {
+  using Body = std::invoke_result_t<MakeBody&, int>;
+  const int nthreads = tv.nthreads;
+  const std::int64_t np =
+      tv.primaries ? static_cast<std::int64_t>(tv.primaries->size())
+                   : static_cast<std::int64_t>(tv.catalog.size());
+  // A completion pass without a halo index has nothing to add.
+  const bool idle = !Body::kOwnsPrimaries && tv.secondary == nullptr;
+  const std::int64_t units =
+      idle ? 0
+           : tv.blocked ? static_cast<std::int64_t>(tv.index.leaf_count())
+                        : np;
+  const int chunk = tv.blocked ? 1 : 4;
+  const int poll_stride = tv.blocked ? kPollLeafStride : kPollPrimaryStride;
+  std::vector<Tally> tallies(nthreads);
 
   Timer tcompute;
 #pragma omp parallel num_threads(nthreads)
   {
     const int tid = omp_get_thread_num();
-    KernelConfig kc;
-    kc.lmax = lmax;
-    kc.nbins = nbins;
-    kc.bucket_capacity = cfg.tree.bucket_capacity;
-    kc.scheme = cfg.tree.scheme;
-    kc.ilp = cfg.tree.ilp;
-    MultipoleAccumulator acc(kc);
-    std::vector<std::complex<double>> alm(
-        static_cast<std::size_t>(nbins) * nlm);
-    std::vector<std::uint8_t> touched(nbins, 0);
-    ZetaAccumulator zeta(lmax, nbins);
-    TwoPcfAccumulator xi(lmax, nbins);
-    std::optional<SelfPairAccumulator> sp;
-    if (self_table) sp.emplace(*self_table, nbins);
-    double q_time = 0, k_time = 0, z_time = 0;
-    std::uint64_t my_cand = 0, my_skip = 0;
-    // Communication progress hook (two-pass owned pass): only the master
-    // thread — the rank's own OS thread, so single-threaded MPI progress
-    // rules hold — polls, every few batches.
+    Body body = make_body(tid);
+    Tally tally;
     const bool do_poll = static_cast<bool>(poll) && tid == 0;
     int since_poll = 0;
 
-    // LOS setup shared by both drivers; returns false when the primary
-    // must be skipped (radial mode, primary at the observer).
-    auto make_rotation = [&](std::int64_t p, Rotation& rot, bool& rotate) {
-      rotate = false;
-      if (cfg.los == LineOfSight::kRadial) {
+    auto visit = [&](std::int64_t p, std::size_t t) {
+      Rotation rot;
+      const Rotation* r = nullptr;
+      if (tv.cfg.los == LineOfSight::kRadial) {
         const sim::Vec3 rel =
-            catalog.position(static_cast<std::size_t>(p)) - cfg.observer;
-        if (rel.norm2() == 0.0) return false;
-        rot = rotation_to_z(rel);
-        rotate = true;
-      }
-      return true;
-    };
-
-    // Boundary-primary snapshot (two-pass with a SecondaryBound hint): a
-    // primary within the padded shell of the bound box may see halo
-    // secondaries, so park its owned power sums for pass 2.
-    detail::SavedPrimaries* save_to =
-        save_boundary ? &park->saved[static_cast<std::size_t>(tid)] : nullptr;
-    auto near_bound = [&](std::int64_t p) {
-      const sim::Vec3 pos = catalog.position(static_cast<std::size_t>(p));
-      const double margin = std::min(
-          {pos.x - bound->lo.x, bound->hi.x - pos.x, pos.y - bound->lo.y,
-           bound->hi.y - pos.y, pos.z - bound->lo.z, bound->hi.z - pos.z});
-      return margin <= bound_pad;
-    };
-
-    // a_lm assembly + zeta/xi accumulation after the kernel has consumed
-    // one primary's pairs; identical for both drivers.
-    auto finish_primary = [&](std::int64_t p) {
-      Timer tz;
-      if (save_to && near_bound(p)) {
-        save_to->prim.push_back(p);
-        int nb = 0;
-        for (int b = 0; b < nbins; ++b)
-          if (acc.bin_touched(b)) {
-            save_to->bins.push_back(b);
-            const double* s = acc.power_sums(b);
-            save_to->sums.insert(save_to->sums.end(), s, s + acc.n_mono());
-            ++nb;
-          }
-        save_to->nbins.push_back(nb);
-      }
-      compute_alm(table, acc, alm.data(), touched.data());
-      const double wp = catalog.w[static_cast<std::size_t>(p)];
-      for (int b = 0; b < nbins; ++b)
-        if (touched[b])
-          xi.add_primary_bin(wp, b, acc.power_sums(b), table.monomials());
-      zeta.add_primary(wp, alm.data(), touched.data());
-      z_time += tz.seconds();
-    };
-
-    if (traversal == TraversalMode::kPerPrimary) {
-      tree::NeighborList<Real> nl;
-      PairStage ps;
-
-      auto process = [&](std::int64_t pi) {
-        if (do_poll && ++since_poll >= kPollPrimaryStride) {
-          since_poll = 0;
-          poll();
-        }
-        const std::int64_t p = primaries ? (*primaries)[pi] : pi;
-        const sim::Vec3 pos = catalog.position(static_cast<std::size_t>(p));
-
-        Rotation rot;
-        bool rotate = false;
-        if (!make_rotation(p, rot, rotate)) {
-          ++my_skip;
+            tv.catalog.position(static_cast<std::size_t>(p)) -
+            tv.cfg.observer;
+        if (rel.norm2() == 0.0) {  // no LOS: skip the primary
+          ++tally.skipped;
           return;
         }
-
-        Timer tq;
-        nl.clear();
-        index.gather_neighbors(pos.x, pos.y, pos.z, cfg.bins.rmax(), nl);
-        if (secondary) {
-          const std::size_t before = nl.size();
-          secondary->gather_neighbors(pos.x, pos.y, pos.z, cfg.bins.rmax(),
-                                      nl);
-          for (std::size_t j = before; j < nl.size(); ++j)
-            nl.idx[j] += halo_offset;
-        }
-        const std::size_t count = nl.size();
-        // The index already computed (and range-filtered) r2 in Real;
-        // rotation preserves the norm, so bin on the stored value instead
-        // of recomputing. Excluding the primary itself and coincident
-        // galaxies (direction undefined) completes the accept set.
-        ps.fill(nl.dx.data(), nl.dy.data(), nl.dz.data(), nl.r2.data(),
-                nl.w.data(), nl.idx.data(), count,
-                std::numeric_limits<Real>::infinity(), p);
-        q_time += tq.seconds();
-
-        Timer tk;
-        acc.start_primary();
-        if (sp)
-          sp->start_primary(catalog.w[static_cast<std::size_t>(p)]);
-        for (std::size_t j = 0; j < ps.count; ++j) {
-          const int bin = cfg.bins.bin_of(ps.r[j]);
-          if (bin < 0) continue;
-          double dx = ps.dx[j];
-          double dy = ps.dy[j];
-          double dz = ps.dz[j];
-          if (rotate) rot.apply(dx, dy, dz);
-          const double inv = ps.inv[j];
-          acc.push(bin, dx * inv, dy * inv, dz * inv, ps.w[j]);
-          if (sp) sp->add(bin, dz * inv, ps.w[j]);
-        }
-        acc.finish_primary();
-        k_time += tk.seconds();
-        my_cand += count;
-
-        finish_primary(p);
-      };
-
-      if (cfg.tree.schedule == OmpSchedule::kDynamic) {
-#pragma omp for schedule(dynamic, 4)
-        for (std::int64_t i = 0; i < np; ++i) process(i);
-      } else {
-#pragma omp for schedule(static)
-        for (std::int64_t i = 0; i < np; ++i) process(i);
+        rot = rotation_to_z(rel);
+        r = &rot;
       }
+      body.primary(p, t, r, tally);
+    };
+
+    auto process = [&](std::int64_t u) {
+      if (do_poll && ++since_poll >= poll_stride) {
+        since_poll = 0;
+        poll();
+      }
+      if (!tv.blocked) {
+        visit(tv.primaries ? (*tv.primaries)[u] : u, 0);
+        return;
+      }
+      const std::size_t leaf = static_cast<std::size_t>(u);
+      if (!body.wants_leaf(leaf)) return;
+      body.start_leaf(leaf);
+      const std::size_t end = tv.index.leaf_end(leaf);
+      for (std::size_t t = tv.index.leaf_begin(leaf); t < end; ++t) {
+        const std::int64_t p = tv.index.original_index(t);
+        if (tv.is_primary.empty() || tv.is_primary[static_cast<std::size_t>(p)])
+          visit(p, t);
+      }
+    };
+
+    // Paper §3.3: dynamic scheduling is "a significant performance boost
+    // over a static schedule"; both stay available for the ablation bench.
+    if (tv.cfg.tree.schedule == OmpSchedule::kDynamic) {
+#pragma omp for schedule(dynamic, chunk)
+      for (std::int64_t u = 0; u < units; ++u) process(u);
     } else {
-      // Leaf-blocked driver: one gather per source leaf, amortized over
-      // the ~leaf_size primaries it stores; the shared block stays hot in
-      // cache while each primary forms its separations by SIMD
-      // subtraction, range-filters on the Real r2 (bitwise the same
-      // accept set and order as a per-primary index query) and drains the
-      // accepted pairs bucket-at-a-time into the kernel.
-      tree::NeighborBlock<Real> block;
-      std::vector<Real> sdx, sdy, sdz, sr2;
-      PairStage ps;
-      std::vector<std::size_t> leaf_prims;
-      BinStage stage(nbins, cfg.tree.bucket_capacity);
-      const Real r2max = static_cast<Real>(cfg.bins.rmax()) *
-                         static_cast<Real>(cfg.bins.rmax());
-
-      auto process_leaf = [&](std::int64_t l) {
-        if (do_poll && ++since_poll >= kPollLeafStride) {
-          since_poll = 0;
-          poll();
-        }
-        const std::size_t leaf = static_cast<std::size_t>(l);
-        const std::int64_t begin =
-            static_cast<std::int64_t>(index.leaf_begin(leaf));
-        const std::int64_t end =
-            static_cast<std::int64_t>(index.leaf_end(leaf));
-
-        leaf_prims.clear();
-        for (std::int64_t t = begin; t < end; ++t) {
-          const std::int64_t p =
-              index.original_index(static_cast<std::size_t>(t));
-          if (!is_primary.empty() &&
-              !is_primary[static_cast<std::size_t>(p)])
-            continue;
-          leaf_prims.push_back(static_cast<std::size_t>(t));
-        }
-        if (leaf_prims.empty()) return;
-
-        Timer tq;
-        block.clear();
-        index.gather_leaf_neighbors(leaf, cfg.bins.rmax(), block);
-        if (secondary) {
-          Real blo[3], bhi[3];
-          index.leaf_box(leaf, blo, bhi);
-          const std::size_t before = block.size();
-          secondary->gather_box_neighbors(blo, bhi, cfg.bins.rmax(), block);
-          for (std::size_t j = before; j < block.size(); ++j)
-            block.idx[j] += halo_offset;
-        }
-        const std::size_t m = block.size();
-        sdx.resize(m);
-        sdy.resize(m);
-        sdz.resize(m);
-        sr2.resize(m);
-        q_time += tq.seconds();
-
-        for (const std::size_t t : leaf_prims) {
-          const std::int64_t p = index.original_index(t);
-
-          Rotation rot;
-          bool rotate = false;
-          if (!make_rotation(p, rot, rotate)) {
-            ++my_skip;
-            continue;
-          }
-
-          // Separation formation (and the range filter + compaction a
-          // per-primary index query would have applied during the gather)
-          // is neighbor-search work, so it counts toward the "neighbor
-          // query" phase.
-          Timer tsep;
-          const Real px = index.x(t), py = index.y(t), pz = index.z(t);
-          form_separations(block, px, py, pz, sdx.data(), sdy.data(),
-                           sdz.data(), sr2.data());
-          ps.fill(sdx.data(), sdy.data(), sdz.data(), sr2.data(),
-                  block.w.data(), block.idx.data(), m, r2max, p);
-          q_time += tsep.seconds();
-
-          Timer tk;
-          acc.start_primary();
-          if (sp)
-            sp->start_primary(catalog.w[static_cast<std::size_t>(p)]);
-          for (std::size_t j = 0; j < ps.count; ++j) {
-            const int bin = cfg.bins.bin_of(ps.r[j]);
-            if (bin < 0) continue;
-            double dx = ps.dx[j];
-            double dy = ps.dy[j];
-            double dz = ps.dz[j];
-            if (rotate) rot.apply(dx, dy, dz);
-            const double inv = ps.inv[j];
-            stage.add(bin, dx * inv, dy * inv, dz * inv, ps.w[j], acc);
-            if (sp) sp->add(bin, dz * inv, ps.w[j]);
-          }
-          stage.finish(acc);
-          acc.finish_primary();
-          k_time += tk.seconds();
-          my_cand += m;
-
-          finish_primary(p);
-        }
-      };
-
-      const std::int64_t nleaves =
-          static_cast<std::int64_t>(index.leaf_count());
-      if (cfg.tree.schedule == OmpSchedule::kDynamic) {
-#pragma omp for schedule(dynamic, 1)
-        for (std::int64_t l = 0; l < nleaves; ++l) process_leaf(l);
-      } else {
 #pragma omp for schedule(static)
-        for (std::int64_t l = 0; l < nleaves; ++l) process_leaf(l);
-      }
+      for (std::int64_t u = 0; u < units; ++u) process(u);
     }
 
-    if (sp) sp->fold_into(zeta);
-    zeta_parts[tid] = std::make_unique<ZetaAccumulator>(std::move(zeta));
-    xi_parts[tid] = std::make_unique<TwoPcfAccumulator>(std::move(xi));
-    pairs_parts[tid] = acc.pairs_processed();
-    cand_parts[tid] = my_cand;
-    skip_parts[tid] = my_skip;
-    tq_parts[tid] = q_time;
-    tk_parts[tid] = k_time;
-    tz_parts[tid] = z_time;
+    body.finish(tally);
+    tallies[tid] = tally;
   }
   const double compute_wall = tcompute.seconds();
 
-  std::uint64_t pairs_total = 0, cand_total = 0, skipped_total = 0;
-  double t_query = 0, t_kernel = 0, t_zeta = 0;
+  Tally sum;
   std::vector<std::uint64_t> per_thread;
   for (int t = 0; t < nthreads; ++t) {
-    pairs_total += pairs_parts[t];
-    cand_total += cand_parts[t];
-    skipped_total += skip_parts[t];
-    t_query += tq_parts[t];
-    t_kernel += tk_parts[t];
-    t_zeta += tz_parts[t];
-    per_thread.push_back(pairs_parts[t]);
+    const Tally& tt = tallies[t];
+    sum.query += tt.query;
+    sum.kernel += tt.kernel;
+    sum.zeta += tt.zeta;
+    sum.candidates += tt.candidates;
+    sum.skipped += tt.skipped;
+    sum.pairs += tt.pairs;
+    sum.kernel_pairs += tt.kernel_pairs;
+    per_thread.push_back(tt.pairs);
+    parts.pairs[t] += tt.pairs;
   }
 
   // Thread-summed phase times divided by thread count approximate the
   // wall-clock share of each phase inside the parallel region; the residual
   // (imbalance + merge) is reported separately so shares sum to the wall.
   const double dn = static_cast<double>(nthreads);
-  stats.phases.add("neighbor query", t_query / dn);
-  stats.phases.add("multipole kernel", t_kernel / dn);
-  stats.phases.add("alm+zeta", t_zeta / dn);
+  stats.phases.add("neighbor query", sum.query / dn);
+  stats.phases.add("multipole kernel", sum.kernel / dn);
+  stats.phases.add("alm+zeta", sum.zeta / dn);
   stats.phases.add("imbalance+merge",
                    std::max(0.0, compute_wall -
-                                     (t_query + t_kernel + t_zeta) / dn));
-
-  stats.pairs = pairs_total;
-  stats.candidates = cand_total;
-  stats.primaries_skipped = skipped_total;
+                                     (sum.query + sum.kernel + sum.zeta) / dn));
+  stats.pairs = sum.pairs;
+  stats.candidates = sum.candidates;
+  stats.primaries_skipped = Body::kOwnsPrimaries ? sum.skipped : 0;
   stats.pairs_per_thread = std::move(per_thread);
-  stats.kernel_flop_count =
-      static_cast<double>(pairs_total) * kernel_flops_per_pair(lmax);
-  stats.wall_seconds = wall.seconds();
+  stats.kernel_flop_count = static_cast<double>(sum.kernel_pairs) *
+                            kernel_flops_per_pair(tv.cfg.lmax);
 
-  if (park) {
-    // Two-pass owned pass: the partials survive in the handle; the merge
-    // (below, in identical thread-id order) happens in run_secondary_pass.
-    park->nthreads = nthreads;
-    park->zeta = std::move(zeta_parts);
-    park->xi = std::move(xi_parts);
-    park->pairs = std::move(pairs_parts);
-    return;
+  if (result) {
+    // Thread-id order, so results are bit-identical run to run and an
+    // empty completion pass reproduces the fused run bitwise.
+    ZetaAccumulator zeta_total(tv.cfg.lmax, tv.nbins);
+    TwoPcfAccumulator xi_total(tv.cfg.lmax, tv.nbins);
+    std::uint64_t pairs_total = 0;
+    for (int t = 0; t < parts.nthreads; ++t) {
+      if (parts.zeta[t]) zeta_total.merge(*parts.zeta[t]);
+      if (parts.xi[t]) xi_total.merge(*parts.xi[t]);
+      pairs_total += parts.pairs[t];
+    }
+    result->bins = tv.cfg.bins;
+    result->lmax = tv.cfg.lmax;
+    result->n_primaries = zeta_total.primaries();
+    result->sum_primary_weight = zeta_total.sum_weight();
+    result->n_pairs = pairs_total;
+    result->zeta_data = zeta_total.snapshot();
+    result->pair_counts = xi_total.counts();
+    result->xi_raw = xi_total.xi_raw();
   }
-
-  ZetaAccumulator zeta_total(lmax, nbins);
-  TwoPcfAccumulator xi_total(lmax, nbins);
-  for (int t = 0; t < nthreads; ++t) {
-    if (zeta_parts[t]) zeta_total.merge(*zeta_parts[t]);
-    if (xi_parts[t]) xi_total.merge(*xi_parts[t]);
-  }
-
-  result.bins = cfg.bins;
-  result.lmax = lmax;
-  result.n_primaries = zeta_total.primaries();
-  result.sum_primary_weight = zeta_total.sum_weight();
-  result.n_pairs = pairs_total;
-  result.zeta_data = zeta_total.snapshot();
-  result.pair_counts = xi_total.counts();
-  result.xi_raw = xi_total.xi_raw();
+  stats.wall_seconds = tv.wall.seconds();
 }
 
-// Pass 2 of the two-pass pipeline: adds every owned-vs-halo contribution
-// into the parked pass-1 partials, then merges them into `result`.
+// Fused / owned pass body: each primary's a_lm over the owned index —
+// unioned with the halo index in the fused staged run — accumulated into
+// fresh per-thread zeta / 2PCF partials. With a SecondaryBound (two-pass
+// owned pass) it also snapshots the owned power sums of primaries near the
+// bound box, which may see halo secondaries in pass 2.
+template <typename Real, typename Index>
+class OwnedBody {
+ public:
+  static constexpr bool kOwnsPrimaries = true;
+
+  OwnedBody(const Traversal<Real, Index>& tv, detail::TraversalPartials& parts,
+            int tid, const Engine::SecondaryBound* bound, double bound_pad)
+      : tv_(tv),
+        cands_(tv, /*owned=*/true, /*halo=*/true),
+        pipe_(tv.kc, tv.nlm),
+        zeta_(*(parts.zeta[tid] = std::make_unique<ZetaAccumulator>(
+                    tv.cfg.lmax, tv.nbins))),
+        xi_(*(parts.xi[tid] = std::make_unique<TwoPcfAccumulator>(
+                  tv.cfg.lmax, tv.nbins))),
+        bound_(bound),
+        bound_pad_(bound_pad),
+        save_to_(bound ? &parts.saved[static_cast<std::size_t>(tid)]
+                       : nullptr) {
+    if (tv.self_table) sp_.emplace(*tv.self_table, tv.nbins);
+  }
+
+  bool wants_leaf(std::size_t) const { return true; }
+  void start_leaf(std::size_t leaf) { cands_.start_leaf(leaf); }
+
+  void primary(std::int64_t p, std::size_t t, const Rotation* rot,
+               Tally& tally) {
+    tally.candidates += cands_.stage(p, t, ps_, tally.query);
+    const double wp = tv_.weight(p);
+    Timer tk;
+    if (sp_) sp_->start_primary(wp);
+    pipe_.consume(ps_, tv_.cfg.bins, rot, tv_.blocked, sp_ ? &*sp_ : nullptr);
+    tally.kernel += tk.seconds();
+
+    Timer tz;
+    if (save_to_ && near_bound(p)) save(p);
+    pipe_.assemble(tv_.table, wp, &xi_);
+    zeta_.add_primary(wp, pipe_.alm.data(), pipe_.touched.data());
+    tally.zeta += tz.seconds();
+  }
+
+  void finish(Tally& tally) {
+    if (sp_) sp_->fold_into(zeta_);
+    tally.pairs = tally.kernel_pairs = pipe_.acc.pairs_processed();
+  }
+
+ private:
+  bool near_bound(std::int64_t p) const {
+    const sim::Vec3 pos = tv_.catalog.position(static_cast<std::size_t>(p));
+    const double margin = std::min(
+        {pos.x - bound_->lo.x, bound_->hi.x - pos.x, pos.y - bound_->lo.y,
+         bound_->hi.y - pos.y, pos.z - bound_->lo.z, bound_->hi.z - pos.z});
+    return margin <= bound_pad_;
+  }
+
+  void save(std::int64_t p) {
+    const MultipoleAccumulator& acc = pipe_.acc;
+    save_to_->prim.push_back(p);
+    int nb = 0;
+    for (int b = 0; b < tv_.nbins; ++b)
+      if (acc.bin_touched(b)) {
+        save_to_->bins.push_back(b);
+        const double* s = acc.power_sums(b);
+        save_to_->sums.insert(save_to_->sums.end(), s, s + acc.n_mono());
+        ++nb;
+      }
+    save_to_->nbins.push_back(nb);
+  }
+
+  const Traversal<Real, Index>& tv_;
+  Candidates<Real, Index> cands_;
+  PairStage ps_;
+  AlmPipe pipe_;
+  ZetaAccumulator& zeta_;
+  TwoPcfAccumulator& xi_;
+  std::optional<SelfPairAccumulator> sp_;
+  const Engine::SecondaryBound* bound_;
+  double bound_pad_;
+  detail::SavedPrimaries* save_to_;
+};
+
+// A primary's pass-1 power-sum snapshot, looked up by primary id.
+struct SavedRef {
+  const int* bins = nullptr;
+  const double* sums = nullptr;
+  int count = -1;  // -1 = no snapshot
+};
+
+// Completion pass body (pass 2 of the two-pass pipeline): adds every
+// owned-vs-halo contribution into the parked pass-1 partials.
 //
 // Per affected primary the completion is exact (see Staged::run_owned_pass
-// in the header): the owned-only a_lm A is recomputed — the same gather and
-// kernel order as pass 1, so bitwise the pass-1 value — the halo-only a_lm
-// B is formed from the secondary index alone, and zeta gains
-// wp·(A·B* + B·A* + B·B*) while the 2PCF moments, pair counts and
-// self-pair terms (all additive over secondaries) gain their halo-only
-// share. Primaries with no accepted halo pair — and entire leaves whose
-// box is beyond R_max of the secondary index — are skipped: their pass-1
-// contribution is already final. The owned recompute is therefore paid
-// only on the halo-adjacent surface of the domain, which is what makes
-// running the whole O(N·n_nbr) pass 1 while the halo is in flight a net
-// win.
+// in the header): the halo-only a_lm B is formed from the secondary index
+// alone; the owned-only a_lm A is rebuilt from the pass-1 snapshot or, when
+// none exists, recomputed with the same gather and kernel order as pass 1,
+// so bitwise the pass-1 value; zeta gains wp·(A·B* + B·A* + B·B*) while the
+// 2PCF moments, pair counts and self-pair terms (all additive over
+// secondaries) gain their halo-only share. Primaries with no accepted halo
+// pair — and entire leaves whose box is beyond R_max of the secondary
+// index — are skipped: their pass-1 contribution is already final. The
+// owned recompute is therefore paid only on the halo-adjacent surface of
+// the domain, which is what makes running the whole O(N·n_nbr) pass 1
+// while the halo is in flight a net win.
 //
-// stats.pairs counts the NEW physical (owned, halo) kernel pairs — the
-// runner adds it to the owned-pass count to recover the single-node total;
-// kernel_flop_count counts executed kernel work (recompute included).
+// Reported pairs are the NEW physical (owned, halo) kernel pairs — the
+// runner adds them to the owned-pass count to recover the single-node
+// total; kernel_flop_count counts executed kernel work (recompute
+// included).
 template <typename Real, typename Index>
-void run_secondary_pass_impl(const EngineConfig& cfg,
-                             const sim::Catalog& catalog, const Index& index,
-                             const Index* secondary,
-                             const std::vector<std::int64_t>* primaries,
-                             detail::TraversalPartials& parts,
-                             ZetaResult& result, EngineStats& stats) {
-  Timer wall;
-  const int nbins = cfg.bins.count();
-  const int lmax = cfg.lmax;
-  const int nlm = math::nlm(lmax);
-  const math::SphHarmTable table(lmax);
-  const LlmIndex llm(lmax);
-  std::optional<SelfPairTable> self_table;
-  if (cfg.subtract_self_pairs) self_table.emplace(table, llm);
+class CompletionBody {
+ public:
+  static constexpr bool kOwnsPrimaries = false;  // pass 1 counted them
 
-  const int nthreads = cfg.threads > 0 ? cfg.threads : omp_get_max_threads();
-  GLX_CHECK_MSG(nthreads == parts.nthreads,
-                "run_secondary_pass: thread count changed since the owned "
-                "pass (" << parts.nthreads << " -> " << nthreads << ")");
-
-  TraversalMode traversal = cfg.tree.traversal;
-  if (traversal == TraversalMode::kLeafBlocked &&
-      index.leaf_count() < 2 * static_cast<std::size_t>(nthreads))
-    traversal = TraversalMode::kPerPrimary;
-
-  std::vector<std::uint8_t> is_primary;
-  if (primaries && traversal == TraversalMode::kLeafBlocked) {
-    is_primary.assign(catalog.size(), 0);
-    for (std::int64_t p : *primaries)
-      is_primary[static_cast<std::size_t>(p)] = 1;
+  CompletionBody(const Traversal<Real, Index>& tv,
+                 detail::TraversalPartials& parts, int tid,
+                 const std::vector<SavedRef>& snapshot)
+      : tv_(tv),
+        owned_(tv, /*owned=*/true, /*halo=*/false),
+        halo_(tv, /*owned=*/false, /*halo=*/true),
+        a_(tv.kc, tv.nlm),
+        b_(tv.kc, tv.nlm),
+        zeta_(*parts.zeta[tid]),
+        xi_(*parts.xi[tid]),
+        snapshot_(snapshot) {
+    if (tv.self_table) sp_.emplace(*tv.self_table, tv.nbins);
   }
 
-  // Pass-1 snapshot lookup (SecondaryBound hint): primary id → its saved
-  // owned power sums, so the owned a_lm comes from alm_from_power_sums
-  // instead of a kernel re-run. Primaries without a record (hint absent,
-  // or a secondary landed inside the promised bound) take the exact
-  // recompute fallback.
-  struct SavedRef {
-    const int* bins = nullptr;
-    const double* sums = nullptr;
-    int count = -1;  // -1 = no snapshot
-  };
-  const int n_mono = math::monomial_count(lmax);
-  std::vector<SavedRef> snapshot;
-  {
-    std::size_t total = 0;
-    for (const detail::SavedPrimaries& sv : parts.saved)
-      total += sv.prim.size();
-    if (total > 0) {
-      snapshot.resize(catalog.size());
-      for (const detail::SavedPrimaries& sv : parts.saved) {
-        std::size_t bin_off = 0;
-        for (std::size_t i = 0; i < sv.prim.size(); ++i) {
-          SavedRef& ref = snapshot[static_cast<std::size_t>(sv.prim[i])];
-          ref.bins = sv.bins.data() + bin_off;
-          ref.sums = sv.sums.data() + bin_off * n_mono;
-          ref.count = sv.nbins[i];
-          bin_off += static_cast<std::size_t>(sv.nbins[i]);
-        }
-      }
+  // O(1) whole-secondary prune: interior leaves exit before any gather.
+  bool wants_leaf(std::size_t leaf) const {
+    Real lo[3], hi[3];
+    tv_.index.leaf_box(leaf, lo, hi);
+    return !tv_.secondary->box_beyond_reach(lo, hi, tv_.cfg.bins.rmax());
+  }
+
+  void start_leaf(std::size_t leaf) {
+    owned_.start_leaf(leaf);
+    halo_.start_leaf(leaf);
+  }
+
+  void primary(std::int64_t p, std::size_t t, const Rotation* rot,
+               Tally& tally) {
+    const std::size_t nb = halo_.stage(p, t, ps_, tally.query);
+    tally.candidates += nb;
+    if (nb == 0) return;
+    const double wp = tv_.weight(p);
+    Timer tk;
+    if (sp_) sp_->start_primary(wp);
+    const std::uint64_t accepted = b_.consume(ps_, tv_.cfg.bins, rot,
+                                              tv_.blocked,
+                                              sp_ ? &*sp_ : nullptr);
+    tally.kernel += tk.seconds();
+    if (accepted == 0) return;  // pass-1 contribution already final
+
+    if (!restore_a(p, tally)) {
+      tally.candidates += owned_.stage(p, t, ps_, tally.query);
+      Timer tk2;
+      a_.consume(ps_, tv_.cfg.bins, rot, tv_.blocked, nullptr);
+      tally.kernel += tk2.seconds();
+      Timer tza;
+      a_.assemble(tv_.table, wp, nullptr);
+      tally.zeta += tza.seconds();
     }
+
+    Timer tz;
+    b_.assemble(tv_.table, wp, &xi_);
+    zeta_.add_primary_cross(wp, a_.alm.data(), a_.touched.data(),
+                            b_.alm.data(), b_.touched.data());
+    tally.zeta += tz.seconds();
   }
 
-  std::vector<std::uint64_t> halo_parts(nthreads, 0), rec_parts(nthreads, 0),
-      cand_parts(nthreads, 0);
-  std::vector<double> tq_parts(nthreads, 0), tk_parts(nthreads, 0),
-      tz_parts(nthreads, 0);
+  void finish(Tally& tally) {
+    if (sp_) sp_->fold_into(zeta_);
+    tally.pairs = b_.acc.pairs_processed();
+    tally.kernel_pairs = tally.pairs + a_.acc.pairs_processed();
+  }
 
-  Timer tcompute;
-  if (secondary) {
-#pragma omp parallel num_threads(nthreads)
-    {
-      const int tid = omp_get_thread_num();
-      KernelConfig kc;
-      kc.lmax = lmax;
-      kc.nbins = nbins;
-      kc.bucket_capacity = cfg.tree.bucket_capacity;
-      kc.scheme = cfg.tree.scheme;
-      kc.ilp = cfg.tree.ilp;
-      MultipoleAccumulator acc_a(kc);  // owned-only recompute (A)
-      MultipoleAccumulator acc_b(kc);  // halo-only (B)
-      std::vector<std::complex<double>> alm_a(
-          static_cast<std::size_t>(nbins) * nlm),
-          alm_b(static_cast<std::size_t>(nbins) * nlm);
-      std::vector<std::uint8_t> touched_a(nbins, 0), touched_b(nbins, 0);
-      ZetaAccumulator& zeta = *parts.zeta[tid];
-      TwoPcfAccumulator& xi = *parts.xi[tid];
-      std::optional<SelfPairAccumulator> sp;
-      if (self_table) sp.emplace(*self_table, nbins);
-      double q_time = 0, k_time = 0, z_time = 0;
-      std::uint64_t my_cand = 0;
-
-      auto make_rotation = [&](std::int64_t p, Rotation& rot, bool& rotate) {
-        rotate = false;
-        if (cfg.los == LineOfSight::kRadial) {
-          const sim::Vec3 rel =
-              catalog.position(static_cast<std::size_t>(p)) - cfg.observer;
-          if (rel.norm2() == 0.0) return false;
-          rot = rotation_to_z(rel);
-          rotate = true;
-        }
-        return true;
-      };
-
-      // Rebuilds one primary's owned a_lm A from its pass-1 snapshot;
-      // false when no snapshot exists (caller recomputes).
-      auto restore_a = [&](std::int64_t p) {
-        if (snapshot.empty()) return false;
-        const SavedRef& ref = snapshot[static_cast<std::size_t>(p)];
-        if (ref.count < 0) return false;
-        Timer tz;
-        std::fill(touched_a.begin(), touched_a.end(), 0);
-        for (int i = 0; i < ref.count; ++i) {
-          const int b = ref.bins[i];
-          touched_a[b] = 1;
-          table.alm_from_power_sums(
-              ref.sums + static_cast<std::size_t>(i) * n_mono,
-              alm_a.data() + static_cast<std::size_t>(b) * nlm);
-        }
-        z_time += tz.seconds();
-        return true;
-      };
-
-      // Assembles B for one affected primary (A is already prepared by
-      // restore_a or the recompute fallback) and adds the exact completion
-      // term plus the additive halo-side 2PCF terms (the halo-side
-      // self-pair moments were taken in the kernel loop).
-      auto finish_cross = [&](std::int64_t p) {
-        Timer tz;
-        compute_alm(table, acc_b, alm_b.data(), touched_b.data());
-        const double wp = catalog.w[static_cast<std::size_t>(p)];
-        for (int b = 0; b < nbins; ++b)
-          if (touched_b[b])
-            xi.add_primary_bin(wp, b, acc_b.power_sums(b), table.monomials());
-        zeta.add_primary_cross(wp, alm_a.data(), touched_a.data(),
-                               alm_b.data(), touched_b.data());
-        z_time += tz.seconds();
-      };
-
-      if (traversal == TraversalMode::kPerPrimary) {
-        const std::int64_t np =
-            primaries ? static_cast<std::int64_t>(primaries->size())
-                      : static_cast<std::int64_t>(catalog.size());
-        tree::NeighborList<Real> nl_b, nl_a;
-        PairStage ps;
-
-        auto process = [&](std::int64_t pi) {
-          const std::int64_t p = primaries ? (*primaries)[pi] : pi;
-          const sim::Vec3 pos = catalog.position(static_cast<std::size_t>(p));
-          Rotation rot;
-          bool rotate = false;
-          if (!make_rotation(p, rot, rotate)) return;  // counted in pass 1
-
-          Timer tq;
-          nl_b.clear();
-          secondary->gather_neighbors(pos.x, pos.y, pos.z, cfg.bins.rmax(),
-                                      nl_b);
-          // Halo blocks are disjoint from the owned set: no self-exclusion.
-          ps.fill(nl_b.dx.data(), nl_b.dy.data(), nl_b.dz.data(),
-                  nl_b.r2.data(), nl_b.w.data(), nl_b.idx.data(), nl_b.size(),
-                  std::numeric_limits<Real>::infinity(), -1);
-          q_time += tq.seconds();
-          my_cand += nl_b.size();
-          if (nl_b.size() == 0) return;
-
-          Timer tk;
-          acc_b.start_primary();
-          if (sp)
-            sp->start_primary(catalog.w[static_cast<std::size_t>(p)]);
-          std::uint64_t accepted = 0;
-          for (std::size_t j = 0; j < ps.count; ++j) {
-            const int bin = cfg.bins.bin_of(ps.r[j]);
-            if (bin < 0) continue;
-            double dx = ps.dx[j];
-            double dy = ps.dy[j];
-            double dz = ps.dz[j];
-            if (rotate) rot.apply(dx, dy, dz);
-            const double inv = ps.inv[j];
-            acc_b.push(bin, dx * inv, dy * inv, dz * inv, ps.w[j]);
-            if (sp) sp->add(bin, dz * inv, ps.w[j]);
-            ++accepted;
-          }
-          acc_b.finish_primary();
-          k_time += tk.seconds();
-          if (accepted == 0) return;  // pass-1 contribution already final
-
-          if (!restore_a(p)) {
-            Timer tq2;
-            nl_a.clear();
-            index.gather_neighbors(pos.x, pos.y, pos.z, cfg.bins.rmax(),
-                                   nl_a);
-            ps.fill(nl_a.dx.data(), nl_a.dy.data(), nl_a.dz.data(),
-                    nl_a.r2.data(), nl_a.w.data(), nl_a.idx.data(),
-                    nl_a.size(), std::numeric_limits<Real>::infinity(), p);
-            q_time += tq2.seconds();
-            my_cand += nl_a.size();
-
-            Timer tk2;
-            acc_a.start_primary();
-            for (std::size_t j = 0; j < ps.count; ++j) {
-              const int bin = cfg.bins.bin_of(ps.r[j]);
-              if (bin < 0) continue;
-              double dx = ps.dx[j];
-              double dy = ps.dy[j];
-              double dz = ps.dz[j];
-              if (rotate) rot.apply(dx, dy, dz);
-              const double inv = ps.inv[j];
-              acc_a.push(bin, dx * inv, dy * inv, dz * inv, ps.w[j]);
-            }
-            acc_a.finish_primary();
-            k_time += tk2.seconds();
-            Timer tza;
-            compute_alm(table, acc_a, alm_a.data(), touched_a.data());
-            z_time += tza.seconds();
-          }
-          finish_cross(p);
-        };
-
-        if (cfg.tree.schedule == OmpSchedule::kDynamic) {
-#pragma omp for schedule(dynamic, 4)
-          for (std::int64_t i = 0; i < np; ++i) process(i);
-        } else {
-#pragma omp for schedule(static)
-          for (std::int64_t i = 0; i < np; ++i) process(i);
-        }
-      } else {
-        tree::NeighborBlock<Real> halo_block, owned_block;
-        std::vector<Real> bdx, bdy, bdz, br2, adx, ady, adz, ar2;
-        PairStage ps;
-        std::vector<std::size_t> leaf_prims;
-        BinStage stage_a(nbins, cfg.tree.bucket_capacity);
-        BinStage stage_b(nbins, cfg.tree.bucket_capacity);
-        const Real r2max = static_cast<Real>(cfg.bins.rmax()) *
-                           static_cast<Real>(cfg.bins.rmax());
-
-        auto process_leaf = [&](std::int64_t l) {
-          const std::size_t leaf = static_cast<std::size_t>(l);
-          // O(1) whole-secondary prune: interior leaves exit before any
-          // gather or block formation.
-          Real blo[3], bhi[3];
-          index.leaf_box(leaf, blo, bhi);
-          if (secondary->box_beyond_reach(blo, bhi, cfg.bins.rmax())) return;
-
-          const std::int64_t begin =
-              static_cast<std::int64_t>(index.leaf_begin(leaf));
-          const std::int64_t end =
-              static_cast<std::int64_t>(index.leaf_end(leaf));
-          leaf_prims.clear();
-          for (std::int64_t t = begin; t < end; ++t) {
-            const std::int64_t p =
-                index.original_index(static_cast<std::size_t>(t));
-            if (!is_primary.empty() &&
-                !is_primary[static_cast<std::size_t>(p)])
-              continue;
-            leaf_prims.push_back(static_cast<std::size_t>(t));
-          }
-          if (leaf_prims.empty()) return;
-
-          Timer tq;
-          halo_block.clear();
-          secondary->gather_box_neighbors(blo, bhi, cfg.bins.rmax(),
-                                          halo_block);
-          q_time += tq.seconds();
-          if (halo_block.size() == 0) return;
-          const std::size_t mb = halo_block.size();
-          bdx.resize(mb);
-          bdy.resize(mb);
-          bdz.resize(mb);
-          br2.resize(mb);
-
-          // The owned block is re-formed lazily — only once some primary
-          // in this leaf actually accepts a halo pair — and then shared by
-          // the leaf's remaining primaries, the same amortization as
-          // pass 1.
-          bool owned_ready = false;
-          std::size_t ma = 0;
-
-          for (const std::size_t t : leaf_prims) {
-            const std::int64_t p = index.original_index(t);
-            Rotation rot;
-            bool rotate = false;
-            if (!make_rotation(p, rot, rotate)) continue;
-
-            Timer tsep;
-            const Real px = index.x(t), py = index.y(t), pz = index.z(t);
-            form_separations(halo_block, px, py, pz, bdx.data(), bdy.data(),
-                             bdz.data(), br2.data());
-            // Halo block is disjoint from the owned set: no self-exclusion.
-            ps.fill(bdx.data(), bdy.data(), bdz.data(), br2.data(),
-                    halo_block.w.data(), halo_block.idx.data(), mb, r2max,
-                    -1);
-            q_time += tsep.seconds();
-
-            Timer tk;
-            acc_b.start_primary();
-            if (sp)
-              sp->start_primary(catalog.w[static_cast<std::size_t>(p)]);
-            std::uint64_t accepted = 0;
-            for (std::size_t j = 0; j < ps.count; ++j) {
-              const int bin = cfg.bins.bin_of(ps.r[j]);
-              if (bin < 0) continue;
-              double dx = ps.dx[j];
-              double dy = ps.dy[j];
-              double dz = ps.dz[j];
-              if (rotate) rot.apply(dx, dy, dz);
-              const double inv = ps.inv[j];
-              stage_b.add(bin, dx * inv, dy * inv, dz * inv, ps.w[j], acc_b);
-              if (sp) sp->add(bin, dz * inv, ps.w[j]);
-              ++accepted;
-            }
-            stage_b.finish(acc_b);
-            acc_b.finish_primary();
-            k_time += tk.seconds();
-            my_cand += mb;
-            if (accepted == 0) continue;  // pass-1 contribution final
-
-            if (restore_a(p)) {
-              finish_cross(p);
-              continue;
-            }
-
-            if (!owned_ready) {
-              Timer tg;
-              owned_block.clear();
-              index.gather_leaf_neighbors(leaf, cfg.bins.rmax(), owned_block);
-              ma = owned_block.size();
-              adx.resize(ma);
-              ady.resize(ma);
-              adz.resize(ma);
-              ar2.resize(ma);
-              q_time += tg.seconds();
-              owned_ready = true;
-            }
-
-            Timer tsep2;
-            form_separations(owned_block, px, py, pz, adx.data(), ady.data(),
-                             adz.data(), ar2.data());
-            ps.fill(adx.data(), ady.data(), adz.data(), ar2.data(),
-                    owned_block.w.data(), owned_block.idx.data(), ma, r2max,
-                    p);
-            q_time += tsep2.seconds();
-
-            Timer tk2;
-            acc_a.start_primary();
-            for (std::size_t j = 0; j < ps.count; ++j) {
-              const int bin = cfg.bins.bin_of(ps.r[j]);
-              if (bin < 0) continue;
-              double dx = ps.dx[j];
-              double dy = ps.dy[j];
-              double dz = ps.dz[j];
-              if (rotate) rot.apply(dx, dy, dz);
-              const double inv = ps.inv[j];
-              stage_a.add(bin, dx * inv, dy * inv, dz * inv, ps.w[j], acc_a);
-            }
-            stage_a.finish(acc_a);
-            acc_a.finish_primary();
-            k_time += tk2.seconds();
-            my_cand += ma;
-            Timer tza;
-            compute_alm(table, acc_a, alm_a.data(), touched_a.data());
-            z_time += tza.seconds();
-
-            finish_cross(p);
-          }
-        };
-
-        const std::int64_t nleaves =
-            static_cast<std::int64_t>(index.leaf_count());
-        if (cfg.tree.schedule == OmpSchedule::kDynamic) {
-#pragma omp for schedule(dynamic, 1)
-          for (std::int64_t l = 0; l < nleaves; ++l) process_leaf(l);
-        } else {
-#pragma omp for schedule(static)
-          for (std::int64_t l = 0; l < nleaves; ++l) process_leaf(l);
-        }
-      }
-
-      if (sp) sp->fold_into(zeta);
-      halo_parts[tid] = acc_b.pairs_processed();
-      rec_parts[tid] = acc_a.pairs_processed();
-      cand_parts[tid] = my_cand;
-      tq_parts[tid] = q_time;
-      tk_parts[tid] = k_time;
-      tz_parts[tid] = z_time;
-      parts.pairs[tid] += acc_b.pairs_processed();
+ private:
+  // Rebuilds the owned a_lm A from its pass-1 snapshot; false when no
+  // snapshot exists (the caller recomputes).
+  bool restore_a(std::int64_t p, Tally& tally) {
+    if (snapshot_.empty()) return false;
+    const SavedRef& ref = snapshot_[static_cast<std::size_t>(p)];
+    if (ref.count < 0) return false;
+    Timer tz;
+    const int n_mono = a_.acc.n_mono();
+    std::fill(a_.touched.begin(), a_.touched.end(), 0);
+    for (int i = 0; i < ref.count; ++i) {
+      const int b = ref.bins[i];
+      a_.touched[b] = 1;
+      tv_.table.alm_from_power_sums(
+          ref.sums + static_cast<std::size_t>(i) * n_mono,
+          a_.alm.data() + static_cast<std::size_t>(b) * tv_.nlm);
     }
-  }
-  const double compute_wall = tcompute.seconds();
-
-  std::uint64_t halo_pairs = 0, rec_pairs = 0, cand_total = 0;
-  double t_query = 0, t_kernel = 0, t_zeta = 0;
-  std::vector<std::uint64_t> per_thread;
-  for (int t = 0; t < nthreads; ++t) {
-    halo_pairs += halo_parts[t];
-    rec_pairs += rec_parts[t];
-    cand_total += cand_parts[t];
-    t_query += tq_parts[t];
-    t_kernel += tk_parts[t];
-    t_zeta += tz_parts[t];
-    per_thread.push_back(halo_parts[t]);
+    tally.zeta += tz.seconds();
+    return true;
   }
 
-  const double dn = static_cast<double>(nthreads);
-  stats.phases.add("neighbor query", t_query / dn);
-  stats.phases.add("multipole kernel", t_kernel / dn);
-  stats.phases.add("alm+zeta", t_zeta / dn);
-  stats.phases.add("imbalance+merge",
-                   std::max(0.0, compute_wall -
-                                     (t_query + t_kernel + t_zeta) / dn));
-  stats.pairs = halo_pairs;
-  stats.candidates = cand_total;
-  stats.primaries_skipped = 0;  // skips were counted by the owned pass
-  stats.pairs_per_thread = std::move(per_thread);
-  stats.kernel_flop_count = static_cast<double>(halo_pairs + rec_pairs) *
-                            kernel_flops_per_pair(lmax);
-
-  // Merge the completed partials — identical thread-id order to the fused
-  // path, so an empty secondary pass reproduces run_indexed bitwise.
-  ZetaAccumulator zeta_total(lmax, nbins);
-  TwoPcfAccumulator xi_total(lmax, nbins);
-  std::uint64_t pairs_total = 0;
-  for (int t = 0; t < parts.nthreads; ++t) {
-    if (parts.zeta[t]) zeta_total.merge(*parts.zeta[t]);
-    if (parts.xi[t]) xi_total.merge(*parts.xi[t]);
-    pairs_total += parts.pairs[t];
-  }
-  stats.wall_seconds = wall.seconds();
-
-  result.bins = cfg.bins;
-  result.lmax = lmax;
-  result.n_primaries = zeta_total.primaries();
-  result.sum_primary_weight = zeta_total.sum_weight();
-  result.n_pairs = pairs_total;
-  result.zeta_data = zeta_total.snapshot();
-  result.pair_counts = xi_total.counts();
-  result.xi_raw = xi_total.xi_raw();
-}
+  const Traversal<Real, Index>& tv_;
+  Candidates<Real, Index> owned_, halo_;
+  PairStage ps_;
+  AlmPipe a_;  // owned-only (A)
+  AlmPipe b_;  // halo-only (B)
+  ZetaAccumulator& zeta_;
+  TwoPcfAccumulator& xi_;
+  std::optional<SelfPairAccumulator> sp_;
+  const std::vector<SavedRef>& snapshot_;
+};
 
 }  // namespace
 
@@ -1132,28 +852,15 @@ namespace {
 
 template <typename Real, typename Index>
 struct StagedImplT final : detail::EngineStagedImpl {
-  // `copy_owned` — the public staged pipeline copies the catalog (the
+  // Borrows `*borrowed` when given — the fused Engine::run path, whose
+  // catalog outlives the handle, so the hot path has no O(N) copy — and
+  // otherwise adopts `adopted` as storage (the public staged pipeline: the
   // caller's buffer may move or be freed before run_indexed; e.g. the
-  // runner's halo append reallocates it), while the fused Engine::run path
-  // references the caller's catalog, which outlives the call, to keep the
-  // hot path free of an O(N) copy.
-  StagedImplT(const EngineConfig& c, const sim::Catalog& o, bool copy_owned) {
+  // runner's halo append reallocates it).
+  StagedImplT(const EngineConfig& c, const sim::Catalog* borrowed,
+              sim::Catalog&& adopted)
+      : storage(std::move(adopted)), owned(borrowed ? borrowed : &storage) {
     cfg = c;
-    if (copy_owned) {
-      storage = o;
-      owned = &storage;
-    } else {
-      owned = &o;
-    }
-    owned_size = owned->size();
-    primary = make_index<Real, Index>(*owned, cfg, /*for_secondary=*/false);
-  }
-
-  // Move variant: adopts the caller's buffer as storage (no copy).
-  StagedImplT(const EngineConfig& c, sim::Catalog&& o) {
-    cfg = c;
-    storage = std::move(o);
-    owned = &storage;
     owned_size = owned->size();
     primary = make_index<Real, Index>(*owned, cfg, /*for_secondary=*/false);
   }
@@ -1166,29 +873,89 @@ struct StagedImplT final : detail::EngineStagedImpl {
 
   void run(const std::vector<std::int64_t>* primaries, ZetaResult& result,
            EngineStats& stats) const override {
-    run_indexed_impl<Real, Index>(cfg, *owned, primary,
-                                  secondary ? &*secondary : nullptr,
-                                  primaries, result, stats);
+    detail::TraversalPartials parts;
+    owned_traversal(secondary ? &*secondary : nullptr, primaries, parts,
+                    &result, stats, {}, nullptr);
   }
 
   void owned_pass(const std::vector<std::int64_t>* primaries,
                   EngineStats& stats, const std::function<void()>& poll,
                   const Engine::SecondaryBound* bound) override {
     partials = std::make_unique<detail::TraversalPartials>();
-    ZetaResult scratch;  // untouched: the partials are parked, not merged
-    run_indexed_impl<Real, Index>(cfg, *owned, primary, /*secondary=*/nullptr,
-                                  primaries, scratch, stats, partials.get(),
-                                  poll, bound);
+    owned_traversal(/*halo=*/nullptr, primaries, *partials,
+                    /*result=*/nullptr, stats, poll, bound);
   }
 
   void secondary_pass(const std::vector<std::int64_t>* primaries,
                       ZetaResult& result, EngineStats& stats) override {
-    run_secondary_pass_impl<Real, Index>(cfg, *owned, primary,
-                                         secondary ? &*secondary : nullptr,
-                                         primaries, *partials, result, stats);
+    detail::TraversalPartials& parts = *partials;
+    const Traversal<Real, Index> tv(cfg, *owned, primary,
+                                    secondary ? &*secondary : nullptr,
+                                    primaries);
+    GLX_CHECK_MSG(tv.nthreads == parts.nthreads,
+                  "run_secondary_pass: thread count changed since the owned "
+                  "pass (" << parts.nthreads << " -> " << tv.nthreads << ")");
+
+    // Pass-1 snapshot lookup (SecondaryBound hint): primary id → its saved
+    // owned power sums. Primaries without a record (hint absent, or a
+    // secondary landed inside the promised bound) take the exact recompute
+    // fallback.
+    const int n_mono = math::monomial_count(cfg.lmax);
+    std::vector<SavedRef> snapshot;
+    for (const detail::SavedPrimaries& sv : parts.saved) {
+      if (sv.prim.empty()) continue;
+      snapshot.resize(owned->size());
+      std::size_t bin_off = 0;
+      for (std::size_t i = 0; i < sv.prim.size(); ++i) {
+        SavedRef& ref = snapshot[static_cast<std::size_t>(sv.prim[i])];
+        ref.bins = sv.bins.data() + bin_off;
+        ref.sums = sv.sums.data() + bin_off * n_mono;
+        ref.count = sv.nbins[i];
+        bin_off += static_cast<std::size_t>(sv.nbins[i]);
+      }
+    }
+
+    traverse(tv, parts, &result, stats, {}, [&](int tid) {
+      return CompletionBody<Real, Index>(tv, parts, tid, snapshot);
+    });
   }
 
-  sim::Catalog storage;                    // only when copy_owned
+  // The fused traversal (`result` set) and the two-pass owned pass
+  // (`result` null: the partials stay parked in `parts`).
+  void owned_traversal(const Index* halo,
+                       const std::vector<std::int64_t>* primaries,
+                       detail::TraversalPartials& parts, ZetaResult* result,
+                       EngineStats& stats, const std::function<void()>& poll,
+                       const Engine::SecondaryBound* bound) const {
+    const Traversal<Real, Index> tv(cfg, *owned, primary, halo, primaries);
+    const auto n = static_cast<std::size_t>(tv.nthreads);
+    parts.nthreads = tv.nthreads;
+    parts.zeta.resize(n);
+    parts.xi.resize(n);
+    parts.pairs.assign(n, 0);
+
+    // Conservative "might see a secondary" margin for the bound hint: the
+    // Real-precision accept filter can admit pairs a few ulps beyond R_max,
+    // so pad the shell the same way the cell grid pads its box walk.
+    double bound_pad = 0.0;
+    if (bound) {
+      parts.saved.resize(n);
+      const double max_abs = std::max(
+          {std::abs(bound->lo.x), std::abs(bound->lo.y), std::abs(bound->lo.z),
+           std::abs(bound->hi.x), std::abs(bound->hi.y),
+           std::abs(bound->hi.z)});
+      const double eps =
+          static_cast<double>(std::numeric_limits<Real>::epsilon());
+      bound_pad = cfg.bins.rmax() * (1.0 + 1e-5) +
+                  8.0 * eps * (max_abs + cfg.bins.rmax());
+    }
+
+    traverse(tv, parts, result, stats, poll, [&](int tid) {
+      return OwnedBody<Real, Index>(tv, parts, tid, bound, bound_pad);
+    });
+  }
+
+  sim::Catalog storage;                    // unless borrowed
   const sim::Catalog* owned = nullptr;     // primaries index into this
   Index primary;
   std::optional<Index> secondary;
@@ -1244,37 +1011,26 @@ std::shared_ptr<detail::EngineStagedImpl> dispatch_staged(
 }  // namespace
 
 Engine::Staged Engine::build_index(const sim::Catalog& owned) const {
-  return build_index_impl(owned, /*copy_owned=*/true);
+  return build_index_impl(nullptr, sim::Catalog(owned));
 }
 
 Engine::Staged Engine::build_index(sim::Catalog&& owned) const {
-  GLX_CHECK_MSG(cfg_.backend == EstimatorBackend::kTree,
-                "build_index: the staged pipeline is tree-backend only "
-                "(the FFT backend decomposes the mesh, not the points)");
-  GLX_CHECK_MSG(!owned.empty(), "build_index: empty catalog");
-  Timer tbuild;
-  Staged staged;
-  staged.impl_ = dispatch_staged(
-      cfg_, [&](auto tag) -> std::shared_ptr<detail::EngineStagedImpl> {
-        using Impl = typename decltype(tag)::Impl;
-        return std::make_shared<Impl>(cfg_, std::move(owned));
-      });
-  staged.impl_->build_seconds = tbuild.seconds();
-  return staged;
+  return build_index_impl(nullptr, std::move(owned));
 }
 
-Engine::Staged Engine::build_index_impl(const sim::Catalog& owned,
-                                        bool copy_owned) const {
+Engine::Staged Engine::build_index_impl(const sim::Catalog* borrowed,
+                                        sim::Catalog&& adopted) const {
   GLX_CHECK_MSG(cfg_.backend == EstimatorBackend::kTree,
                 "build_index: the staged pipeline is tree-backend only "
                 "(the FFT backend decomposes the mesh, not the points)");
-  GLX_CHECK_MSG(!owned.empty(), "build_index: empty catalog");
+  GLX_CHECK_MSG(!(borrowed ? *borrowed : adopted).empty(),
+                "build_index: empty catalog");
   Timer tbuild;
   Staged staged;
   staged.impl_ = dispatch_staged(
       cfg_, [&](auto tag) -> std::shared_ptr<detail::EngineStagedImpl> {
         using Impl = typename decltype(tag)::Impl;
-        return std::make_shared<Impl>(cfg_, owned, copy_owned);
+        return std::make_shared<Impl>(cfg_, borrowed, std::move(adopted));
       });
   staged.impl_->build_seconds = tbuild.seconds();
   return staged;
@@ -1398,8 +1154,7 @@ ZetaResult Engine::run(const sim::Catalog& catalog,
   // The catalog outlives this call, so the staged handle references it
   // instead of copying (it never escapes this scope).
   const ZetaResult result =
-      build_index_impl(catalog, /*copy_owned=*/false)
-          .run_indexed(primaries, stats);
+      build_index_impl(&catalog, sim::Catalog{}).run_indexed(primaries, stats);
   if (stats) stats->wall_seconds = wall.seconds();
   return result;
 }

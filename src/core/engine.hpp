@@ -6,7 +6,13 @@
 //     bin pairs into radial shells, bucket them, run the multipole kernel
 //     assemble a_lm per shell; accumulate zeta^m_ll'(r1,r2) and xi_l(r)
 //
-// Two traversal drivers implement the outer loop (§3.3):
+// One traversal skeleton implements the outer loop (§3.3). It owns the
+// OpenMP region, scheduling, the LOS rotation, the communication poll hook,
+// the per-thread phase/counter reduction and the final merge; what happens
+// to each primary is a pass body handed to it. There are two bodies: the
+// fused/owned pass (a_lm over the owned points, plus the halo in a fused
+// staged run) and the halo-completion pass of the two-pass pipeline
+// (below). The skeleton has two drivers:
 //
 // * kPerPrimary — one index query per primary (the literal Algorithm 1).
 // * kLeafBlocked (default) — primaries are processed a leaf at a time: one
@@ -18,6 +24,11 @@
 //   the cross-primary accumulation order differs (FP reassociation).
 //   Runs with fewer than 2x nthreads leaves (tiny catalogs, coarse grids)
 //   fall back to the per-primary driver so threads don't sit idle.
+//
+// Indexes are always built in Morton (Z-order) layout, and the primary
+// index with per-leaf interaction lists at R_max. tests/test_morton.cpp
+// proves, at tree level, the layout a pure storage permutation and the
+// lists an exact replay of a fresh tree walk.
 //
 // The outer API comes in two shapes: Engine::run builds the index and
 // traverses in one call; the staged pipeline (build_index →
@@ -85,17 +96,6 @@ struct TreeConfig {
   TraversalMode traversal = TraversalMode::kLeafBlocked;
   int leaf_size = 32;
 
-  // Cache-aware traversal knobs (both default on; exposed for ablation and
-  // the equivalence tests). morton_order lays the index storage out in
-  // Z-order of the leaf centers — a pure permutation, so per-primary
-  // results are bitwise independent of it. interaction_lists precomputes
-  // each primary-index leaf's pruned neighbor list once per build, so the
-  // leaf-blocked gather replays it instead of re-walking the tree
-  // (secondary/halo indexes never build lists: they are only queried per
-  // point or per box).
-  bool morton_order = true;
-  bool interaction_lists = true;
-
   KernelScheme scheme = KernelScheme::kRunningProduct;
   int ilp = 4;
   int bucket_capacity = 128;
@@ -137,9 +137,10 @@ struct EngineConfig {
 
   int threads = 0;  // 0 = OpenMP default
 
-  // Subtract degenerate j == k contributions from diagonal bin pairs
-  // (slow path: per-secondary Y_lm evaluation; used for validation and
-  // small science runs). Tree backend only.
+  // Subtract degenerate j == k contributions from diagonal bin pairs, in
+  // closed form: each secondary adds 2·lmax+1 Legendre moments of its
+  // LOS-frame mu, expanded once per thread (core/alm.hpp). Tree backend
+  // only.
   bool subtract_self_pairs = false;
 };
 
@@ -286,9 +287,10 @@ class Engine {
   ZetaResult empty_result() const;
 
  private:
-  // copy_owned = false references the caller's catalog instead of copying
-  // (the fused run() path, where the catalog outlives the handle).
-  Staged build_index_impl(const sim::Catalog& owned, bool copy_owned) const;
+  // The handle references `*borrowed` when given (the fused run() path,
+  // where the catalog outlives the handle) and otherwise owns `adopted`.
+  Staged build_index_impl(const sim::Catalog* borrowed,
+                          sim::Catalog&& adopted) const;
 
   EngineConfig cfg_;
 };

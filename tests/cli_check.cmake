@@ -4,7 +4,9 @@
 #   * --help prints "usage: <NAME>" on stdout and exits 0;
 #   * --backend fft on a catalog file without --periodic-box exits 1 with an
 #     error naming --periodic-box (both CLIs spell the box flag the same);
-#   * the same run with --periodic-box is accepted.
+#   * the same run with --periodic-box is accepted;
+#   * galactos --ranks 2 (the distributed pipeline) reports a nonzero wall
+#     time.
 function(run_cli)
   execute_process(COMMAND ${CLI} ${ARGN}
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err
@@ -42,4 +44,15 @@ endif()
 run_cli(${fft} --periodic-box 40)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${NAME} --periodic-box 40: exit ${rc}\n${out}${err}")
+endif()
+
+if(NAME STREQUAL "galactos")
+  run_cli(--input ${cat} --rmin 2 --rmax 8 --nbins 2 --lmax 2 --ranks 2
+          --output cli_check_ranks)
+  if(NOT rc EQUAL 0 OR NOT out MATCHES "wall [0-9]+\\.[0-9]+s"
+     OR out MATCHES "wall 0\\.0+s")
+    message(FATAL_ERROR
+            "${NAME} --ranks 2: exit ${rc}, expected a nonzero wall time\n"
+            "${out}${err}")
+  endif()
 endif()

@@ -10,11 +10,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <tuple>
 #include <type_traits>
 #include <vector>
 
-#include "core/engine.hpp"
 #include "math/rng.hpp"
 #include "sim/generators.hpp"
 #include "test_helpers.hpp"
@@ -23,11 +21,9 @@
 #include "tree/morton.hpp"
 #include "util/aligned.hpp"
 
-namespace c = galactos::core;
 namespace s = galactos::sim;
 namespace t = galactos::tree;
 using galactos::kSimdAlign;
-using galactos::testing::expect_results_match;
 
 TEST(Morton, SpreadDilatesBitsThreeApart) {
   EXPECT_EQ(t::morton_spread3(0), 0u);
@@ -265,80 +261,4 @@ TEST(Morton, CellGridInteractionListsReplayFreshWalk) {
       t::CellGrid<float>(cat, rmax,
                          t::CellGrid<float>::BuildParams{-1.0, true, 0.0}),
       rmax);
-}
-
-// Engine-level ablation sweep: flipping morton_order or interaction_lists
-// must not change any output — bitwise for a single thread (deterministic
-// accumulation order), and exact pair-count equality always.
-class MortonEngineAblation
-    : public ::testing::TestWithParam<
-          std::tuple<c::NeighborIndex, c::TreePrecision, c::TraversalMode>> {};
-
-TEST_P(MortonEngineAblation, LayoutKnobsPreserveResults) {
-  const auto [index, precision, traversal] = GetParam();
-  const s::Catalog cat = galactos::testing::clumpy_catalog(800, 55.0, 40);
-  c::EngineConfig cfg;
-  cfg.bins = c::RadialBins(2.0, 14.0, 4);
-  cfg.lmax = 3;
-  cfg.threads = 1;  // deterministic accumulation => bitwise comparison
-  cfg.tree.index = index;
-  cfg.tree.precision = precision;
-  cfg.tree.traversal = traversal;
-
-  cfg.tree.morton_order = true;
-  cfg.tree.interaction_lists = true;
-  c::EngineStats sref;
-  const c::ZetaResult ref = c::Engine(cfg).run(cat, nullptr, &sref);
-
-  for (const auto& [morton, lists] :
-       std::vector<std::pair<bool, bool>>{{false, true},
-                                          {true, false},
-                                          {false, false}}) {
-    cfg.tree.morton_order = morton;
-    cfg.tree.interaction_lists = lists;
-    c::EngineStats st;
-    const c::ZetaResult got = c::Engine(cfg).run(cat, nullptr, &st);
-    EXPECT_EQ(ref.n_pairs, got.n_pairs)
-        << "morton=" << morton << " lists=" << lists;
-    EXPECT_EQ(sref.pairs, st.pairs);
-    EXPECT_EQ(sref.candidates, st.candidates)
-        << "pruning must not depend on the layout knobs";
-    // Flipping morton reorders the leaf-blocked driver's LEAF processing
-    // order, so cross-primary accumulation reassociates; every other
-    // combination leaves the accumulation order untouched and must be
-    // bitwise. Per-primary iterates primaries in catalog order either way.
-    const bool reassociates =
-        traversal == c::TraversalMode::kLeafBlocked && !morton;
-    if (reassociates)
-      expect_results_match(ref, got, 1e-10, 1e-10);
-    else
-      expect_results_match(ref, got, 0.0, 1e-300);  // bitwise
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, MortonEngineAblation,
-    ::testing::Combine(
-        ::testing::Values(c::NeighborIndex::kKdTree,
-                          c::NeighborIndex::kCellGrid),
-        ::testing::Values(c::TreePrecision::kDouble,
-                          c::TreePrecision::kMixed),
-        ::testing::Values(c::TraversalMode::kPerPrimary,
-                          c::TraversalMode::kLeafBlocked)));
-
-TEST(Morton, MultithreadedLayoutAblationMatchesToReassociation) {
-  // Multiple threads reintroduce cross-primary accumulation-order freedom;
-  // the knobs must still agree to FP-reassociation tolerance with exact
-  // pair counts.
-  const s::Catalog cat = galactos::testing::clumpy_catalog(900, 60.0, 41);
-  c::EngineConfig cfg;
-  cfg.bins = c::RadialBins(2.0, 16.0, 5);
-  cfg.lmax = 4;
-  cfg.threads = 3;
-  const c::ZetaResult ref = c::Engine(cfg).run(cat);
-  cfg.tree.morton_order = false;
-  cfg.tree.interaction_lists = false;
-  const c::ZetaResult got = c::Engine(cfg).run(cat);
-  EXPECT_EQ(ref.n_pairs, got.n_pairs);
-  expect_results_match(ref, got, 1e-10, 1e-10);
 }

@@ -7,10 +7,17 @@
 //     fused run over the combined catalog restricted to owned primaries —
 //     only FP accumulation order may differ (candidate order changes), so
 //     results match to tight tolerance and pair counts match exactly.
+//
+// The sweep also runs three threads under both OpenMP schedules, so the
+// two-pass pipeline's per-thread parked partials are exercised with more
+// than one slot. A static schedule partitions the work identically run to
+// run, so the bitwise contracts hold; a dynamic one may hand a primary to a
+// different thread each run, which reassociates the final merge.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -27,7 +34,16 @@ struct StagedCase {
   c::NeighborIndex index;
   c::TreePrecision precision;
   c::TraversalMode traversal;
+  int threads = 1;
+  c::OmpSchedule schedule = c::OmpSchedule::kDynamic;
 };
+
+// Tolerance for the contracts that are bitwise under a deterministic
+// work partition.
+double exact_tol(const StagedCase& p) {
+  return p.threads == 1 || p.schedule == c::OmpSchedule::kStatic ? 0.0
+                                                                  : 1e-11;
+}
 
 std::string case_name(const ::testing::TestParamInfo<StagedCase>& info) {
   std::string n;
@@ -35,6 +51,11 @@ std::string case_name(const ::testing::TestParamInfo<StagedCase>& info) {
   n += info.param.precision == c::TreePrecision::kDouble ? "Double" : "Mixed";
   n += info.param.traversal == c::TraversalMode::kLeafBlocked ? "LeafBlocked"
                                                               : "PerPrimary";
+  if (info.param.threads > 1) {
+    n += "T" + std::to_string(info.param.threads);
+    n += info.param.schedule == c::OmpSchedule::kStatic ? "Static"
+                                                        : "Dynamic";
+  }
   return n;
 }
 
@@ -42,7 +63,8 @@ c::EngineConfig make_config(const StagedCase& p) {
   c::EngineConfig cfg;
   cfg.bins = c::RadialBins(2.0, 16.0, 4);
   cfg.lmax = 4;
-  cfg.threads = 1;
+  cfg.threads = p.threads;
+  cfg.tree.schedule = p.schedule;
   cfg.tree.index = p.index;
   cfg.tree.precision = p.precision;
   cfg.tree.traversal = p.traversal;
@@ -64,7 +86,8 @@ TEST_P(StagedEngine, NoSecondariesBitwiseMatchesRun) {
   c::EngineStats stats;
   const c::ZetaResult piped = staged.run_indexed(nullptr, &stats);
 
-  expect_results_match(piped, fused, 0.0, 0.0);  // bitwise
+  const double tol = exact_tol(GetParam());
+  expect_results_match(piped, fused, tol, tol);  // bitwise when static
   EXPECT_EQ(piped.n_pairs, fused.n_pairs);
   EXPECT_GT(stats.pairs, 0u);
 }
@@ -115,6 +138,7 @@ TEST_P(StagedEngine, SecondariesNeverActAsPrimaries) {
 // thread-id order.
 TEST_P(StagedEngine, TwoPassNoSecondariesBitwiseMatchesRun) {
   const c::EngineConfig cfg = make_config(GetParam());
+  const double tol = exact_tol(GetParam());
   const s::Catalog cat = s::uniform_box(900, s::Aabb::cube(50), 61);
 
   const c::Engine engine(cfg);
@@ -128,7 +152,7 @@ TEST_P(StagedEngine, TwoPassNoSecondariesBitwiseMatchesRun) {
   const c::ZetaResult piped = staged.run_secondary_pass(&pass2);
   EXPECT_FALSE(staged.owned_pass_pending());
 
-  expect_results_match(piped, fused, 0.0, 0.0);  // bitwise
+  expect_results_match(piped, fused, tol, tol);  // bitwise when static
   EXPECT_EQ(piped.n_pairs, fused.n_pairs);
   EXPECT_GT(pass1.pairs, 0u);
   EXPECT_EQ(pass2.pairs, 0u);  // no secondaries → no new pairs
@@ -207,7 +231,8 @@ TEST_P(StagedEngine, TwoPassSecondaryBoundHintMatchesNoHint) {
   hinted.extend_with_secondaries(halo);
   const c::ZetaResult with_hint = hinted.run_secondary_pass();
 
-  expect_results_match(with_hint, no_hint, 0.0, 0.0);  // bitwise
+  const double tol = exact_tol(GetParam());
+  expect_results_match(with_hint, no_hint, tol, tol);  // bitwise when static
   EXPECT_EQ(with_hint.n_pairs, no_hint.n_pairs);
 }
 
@@ -259,6 +284,43 @@ TEST_P(StagedEngine, TwoPassWithPrimarySubset) {
   expect_results_match(piped, fused, 1e-11, 1e-11);
 }
 
+// Radial LOS with the observer exactly on the owned primary nearest the
+// halo: both passes must skip it (no LOS direction), and pass 2 must not
+// count it again, so n_primaries matches the fused run.
+TEST_P(StagedEngine, TwoPassRadialObserverOnPrimaryMatchesFused) {
+  c::EngineConfig cfg = make_config(GetParam());
+  const s::Catalog owned =
+      s::uniform_box(500, s::Aabb{{0, 0, 0}, {25, 50, 50}}, 62);
+  const s::Catalog halo =
+      s::uniform_box(500, s::Aabb{{25, 0, 0}, {50, 50, 50}}, 63);
+  std::size_t at = 0;
+  for (std::size_t i = 1; i < owned.size(); ++i)
+    if (owned.position(i).x > owned.position(at).x) at = i;
+  cfg.los = c::LineOfSight::kRadial;
+  cfg.observer = owned.position(at);
+
+  const c::Engine engine(cfg);
+  c::Engine::Staged fused_staged = engine.build_index(owned);
+  fused_staged.extend_with_secondaries(halo);
+  c::EngineStats fused_stats;
+  const c::ZetaResult fused = fused_staged.run_indexed(nullptr, &fused_stats);
+
+  c::Engine::Staged staged = engine.build_index(owned);
+  c::EngineStats pass1, pass2;
+  staged.run_owned_pass(nullptr, &pass1);
+  staged.extend_with_secondaries(halo);
+  const c::ZetaResult piped = staged.run_secondary_pass(&pass2);
+
+  EXPECT_EQ(fused_stats.primaries_skipped, 1u);
+  EXPECT_EQ(pass1.primaries_skipped, 1u);
+  EXPECT_EQ(pass2.primaries_skipped, 0u);
+  EXPECT_EQ(fused.n_primaries, owned.size() - 1);
+  EXPECT_EQ(piped.n_primaries, fused.n_primaries);
+  EXPECT_EQ(piped.n_pairs, fused.n_pairs);
+  EXPECT_EQ(pass1.pairs + pass2.pairs, fused_stats.pairs);
+  expect_results_match(piped, fused, 1e-11, 1e-11);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllCombos, StagedEngine,
     ::testing::Values(
@@ -273,7 +335,22 @@ INSTANTIATE_TEST_SUITE_P(
         StagedCase{c::NeighborIndex::kCellGrid, c::TreePrecision::kMixed,
                    c::TraversalMode::kPerPrimary},
         StagedCase{c::NeighborIndex::kCellGrid, c::TreePrecision::kMixed,
-                   c::TraversalMode::kLeafBlocked}),
+                   c::TraversalMode::kLeafBlocked},
+        StagedCase{c::NeighborIndex::kKdTree, c::TreePrecision::kDouble,
+                   c::TraversalMode::kLeafBlocked, 3,
+                   c::OmpSchedule::kStatic},
+        StagedCase{c::NeighborIndex::kKdTree, c::TreePrecision::kMixed,
+                   c::TraversalMode::kPerPrimary, 3,
+                   c::OmpSchedule::kStatic},
+        StagedCase{c::NeighborIndex::kKdTree, c::TreePrecision::kDouble,
+                   c::TraversalMode::kLeafBlocked, 3,
+                   c::OmpSchedule::kDynamic},
+        StagedCase{c::NeighborIndex::kCellGrid, c::TreePrecision::kMixed,
+                   c::TraversalMode::kLeafBlocked, 3,
+                   c::OmpSchedule::kDynamic},
+        StagedCase{c::NeighborIndex::kKdTree, c::TreePrecision::kDouble,
+                   c::TraversalMode::kPerPrimary, 3,
+                   c::OmpSchedule::kDynamic}),
     case_name);
 
 TEST(StagedEngineApi, EmptyHaloIsNoop) {

@@ -23,6 +23,7 @@
 #include "io/catalog_io.hpp"
 #include "io/zeta_io.hpp"
 #include "util/argparse.hpp"
+#include "util/timer.hpp"
 
 using namespace galactos;
 
@@ -152,7 +153,9 @@ int run(int argc, char** argv) {
       dcfg.engine = cfg;
       dcfg.ranks = ranks;
       std::vector<dist::RankReport> reports;
+      Timer timer;
       result = dist::run_distributed(data, dcfg, &reports);
+      stats.wall_seconds = timer.seconds();
       for (const auto& r : reports)
         std::printf("  rank %d: primaries %llu (%.2fs)\n", r.rank,
                     static_cast<unsigned long long>(r.owned),
@@ -177,7 +180,9 @@ int run(int argc, char** argv) {
     dcfg.ranks = ranks;
     dcfg.halo = halo;
     std::vector<dist::RankReport> reports;
+    Timer timer;
     result = dist::run_distributed(data, dcfg, &reports);
+    stats.wall_seconds = timer.seconds();
     for (const auto& r : reports)
       std::printf("  rank %d: owned %llu halo %llu pairs %.3e (%.2fs)\n",
                   r.rank, static_cast<unsigned long long>(r.owned),
@@ -187,10 +192,11 @@ int run(int argc, char** argv) {
     result = core::Engine(cfg).run(data, nullptr, &stats);
   }
 
-  std::printf("primaries %llu, pairs %.3e, wall %.2fs\n",
+  // Microsecond resolution: a small distributed run must not print zero.
+  std::printf("primaries %llu, pairs %.3e, wall %.6fs\n",
               static_cast<unsigned long long>(result.n_primaries),
               static_cast<double>(result.n_pairs), stats.wall_seconds);
-  if (stats.wall_seconds > 0)
+  if (stats.phases.total() > 0)
     std::printf("%s", stats.phases.report().c_str());
 
   io::write_zeta_csv(result, output + "_zeta.csv");
