@@ -11,7 +11,10 @@
 // regime where the mesh wins outright.
 //
 // Emits BENCH_fft.json (--json) for the CI artifact trail; the committed
-// block is what tools/check_bench_regression.py --fft-* gates.
+// block is what tools/check_bench_regression.py --fft-* gates. It also
+// carries, ungated, the committed (last, interlaced) run's per-phase
+// seconds and the median time of one fft_3d at the committed grid.
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -20,6 +23,8 @@
 #include "bench_util.hpp"
 #include "core/estimator.hpp"
 #include "core/fft_estimator.hpp"
+#include "math/fft.hpp"
+#include "math/rng.hpp"
 #include "mocks/lognormal.hpp"
 #include "util/argparse.hpp"
 
@@ -40,7 +45,24 @@ struct GridRow {
   std::size_t grid_n = 0;
   double plain_seconds = 0, plain_err = 0, plain_l2 = 0;
   double inter_seconds = 0, inter_err = 0, inter_l2 = 0;
+  core::EngineStats inter_stats;
 };
+
+// Median wall seconds of one n^3 complex fft_3d over `reps` alternating
+// forward/inverse transforms of a random cube.
+double median_fft_3d_seconds(std::size_t n, int reps) {
+  std::vector<math::cplx> cube(n * n * n);
+  math::Rng rng(7);
+  for (math::cplx& c : cube) c = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+  std::vector<double> secs;
+  for (int rep = 0; rep < reps; ++rep) {
+    Timer t;
+    math::fft_3d(cube, n, rep % 2 ? +1 : -1);
+    secs.push_back(t.seconds());
+  }
+  std::sort(secs.begin(), secs.end());
+  return secs[secs.size() / 2];
+}
 
 }  // namespace
 
@@ -106,9 +128,11 @@ int main(int argc, char** argv) {
     fcfg.fft.grid_n = n;
     for (bool interlace : {false, true}) {
       fcfg.fft.interlace = interlace;
+      core::EngineStats st;
       timer.restart();
-      const core::ZetaResult z = core::Engine(fcfg).run(cat);
+      const core::ZetaResult z = core::Engine(fcfg).run(cat, nullptr, &st);
       const double secs = timer.seconds();
+      if (interlace) row.inter_stats = st;
       const double err = core::max_gated_rel_err(tree, z, gate);
       (interlace ? row.inter_seconds : row.plain_seconds) = secs;
       (interlace ? row.inter_err : row.plain_err) = err;
@@ -170,10 +194,18 @@ int main(int argc, char** argv) {
 
     JsonObject committed;
     const GridRow& last = rows.back();
+    const PhaseTimer& ph = last.inter_stats.phases;
+    JsonObject phases;
+    phases.add("gridding", ph.get("gridding"))
+        .add("density_fft", ph.get("density fft"))
+        .add("kernel_fft_convolution", ph.get("kernel fft + convolution"))
+        .add("interpolate_zeta", ph.get("interpolate+zeta"));
     committed.add("grid_n", static_cast<std::uint64_t>(last.grid_n))
         .add("max_rel_err", last.inter_err)
         .add("seconds", last.inter_seconds)
-        .add("speedup_vs_tree", tree_seconds / last.inter_seconds);
+        .add("speedup_vs_tree", tree_seconds / last.inter_seconds)
+        .add_raw("phase_seconds", phases.str(4))
+        .add("one_fft_3d_seconds", median_fft_3d_seconds(last.grid_n, 9));
 
     JsonObject root;
     root.add("bench", std::string("fft_estimator"))

@@ -30,6 +30,11 @@ void validate_fft_config(const EngineConfig& cfg) {
   GLX_CHECK_MSG(cfg.bins.rmin() > 0.0,
                 "fft backend: bins.rmin() must be > 0 (the zero-lag cell "
                 "holds the primary itself)");
+  GLX_CHECK_MSG(!f.edge_antialias ||
+                    cfg.bins.count() <= FftBinCells::kMaxAntialiasBins,
+                "fft backend: edge_antialias supports at most "
+                    << FftBinCells::kMaxAntialiasBins << " bins, got "
+                    << cfg.bins.count());
   GLX_CHECK_MSG(cfg.bins.rmax() < 0.5 * f.box_side,
                 "fft backend: bins.rmax() must be < box_side / 2 "
                 "(minimum-image separations), got rmax = "
@@ -40,6 +45,7 @@ FftBinCells FftBinCells::build(const RadialBins& bins, std::size_t n,
                                double h, std::size_t x_begin,
                                std::size_t x_end, bool edge_antialias) {
   GLX_CHECK(x_begin <= x_end && x_end <= n);
+  GLX_CHECK(!edge_antialias || bins.count() <= kMaxAntialiasBins);
   FftBinCells out;
   const double rmax = bins.rmax();
   // Per-axis pruning margin: a cell can reach `rmax` if any point of its
@@ -97,8 +103,7 @@ FftBinCells FftBinCells::build(const RadialBins& bins, std::size_t n,
           continue;
         }
         // Straddles an edge (or the in-range boundary): volume fractions.
-        int counts[64] = {0};  // generous nbins ceiling for the stack array
-        GLX_CHECK(bins.count() <= 64);
+        int counts[kMaxAntialiasBins] = {0};
         for (int a = 0; a < kSub; ++a) {
           const double ox = sx + ((a + 0.5) / kSub - 0.5) * h;
           for (int b = 0; b < kSub; ++b) {
@@ -122,15 +127,33 @@ FftBinCells FftBinCells::build(const RadialBins& bins, std::size_t n,
   return out;
 }
 
-void sample_ylm_bin_kernels(const math::SphHarmTable& ylm, int l, int m,
-                            const FftBinCells& cells, std::size_t mesh_size,
-                            int nbins,
-                            std::vector<std::vector<cplx>>& per_bin) {
-  per_bin.resize(static_cast<std::size_t>(nbins));
-  for (auto& k : per_bin) k.assign(mesh_size, cplx(0.0, 0.0));
-  for (const FftBinCells::Cell& c : cells.cells)
-    per_bin[static_cast<std::size_t>(c.bin)][c.idx] =
-        c.weight * std::conj(ylm.eval(l, m, c.ux, c.uy, c.uz));
+void sample_ylm_bin_kernels(const math::SphHarmTable& ylm, int m,
+                            const FftBinCells& cells, int nbins,
+                            std::vector<std::vector<cplx>>& kernels,
+                            int nthreads) {
+  const int nf = (ylm.lmax() + 1 - m) * nbins;
+  GLX_CHECK(m >= 0 && m <= ylm.lmax() &&
+            kernels.size() >= static_cast<std::size_t>(nf));
+  const long long ncells = static_cast<long long>(cells.cells.size());
+#pragma omp parallel num_threads(nthreads)
+  {
+    for (int k = 0; k < nf; ++k) {
+      std::vector<cplx>& kern = kernels[static_cast<std::size_t>(k)];
+#pragma omp for schedule(static) nowait
+      for (long long i = 0; i < static_cast<long long>(kern.size()); ++i)
+        kern[static_cast<std::size_t>(i)] = cplx(0.0, 0.0);
+    }
+#pragma omp barrier
+    // A cell entry of bin b writes only the meshes of bin b, and no two
+    // entries share (idx, bin), so the fill is race-free.
+#pragma omp for schedule(static)
+    for (long long i = 0; i < ncells; ++i) {
+      const FftBinCells::Cell& c = cells.cells[static_cast<std::size_t>(i)];
+      for (int l = m; l <= ylm.lmax(); ++l)
+        kernels[static_cast<std::size_t>((l - m) * nbins + c.bin)][c.idx] =
+            c.weight * std::conj(ylm.eval(l, m, c.ux, c.uy, c.uz));
+    }
+  }
 }
 
 double assignment_window_1d(std::size_t j, std::size_t n, int order) {
@@ -318,9 +341,10 @@ ZetaResult fft_3pcf(const EngineConfig& cfg, const sim::Catalog& catalog,
   st.phases.add("density fft", t.seconds());
 
   // Without interlacing the combined spectrum is Hermitian to round-off, so
-  // the m == 0 fields (real kernels) can use the half-cost c2r inverse and
-  // real field storage. The interlace phase breaks exact Hermitian symmetry
-  // at the Nyquist planes, so that path keeps fields complex throughout.
+  // the m == 0 fields (real kernels) can use the half-cost c2r inverse,
+  // written in place into the real parts of their meshes. The interlace
+  // phase breaks exact Hermitian symmetry at the Nyquist planes, so that
+  // path keeps fields complex throughout.
   const bool m0_real = !f.interlace;
 
   const FftBinCells cells =
@@ -330,37 +354,33 @@ ZetaResult fft_3pcf(const EngineConfig& cfg, const sim::Catalog& catalog,
   std::vector<FftZetaAccumulator> acc(
       static_cast<std::size_t>(nthreads), FftZetaAccumulator(lmax, nbins));
 
+  // One mesh per (l, b) field of the m = 0 pass, allocated (and first
+  // touched) in parallel once per solve; pass m reuses the first
+  // (lmax + 1 - m) * nbins of them. Each mesh holds a sampled kernel, then
+  // its spectrum, then its a_lm field.
+  std::vector<std::vector<cplx>> fields(
+      static_cast<std::size_t>((lmax + 1) * nbins));
+#pragma omp parallel for schedule(static, 1) num_threads(nthreads)
+  for (long long k = 0; k < static_cast<long long>(fields.size()); ++k)
+    fields[static_cast<std::size_t>(k)].resize(ncube);
+
   for (int m = 0; m <= lmax; ++m) {
     const int nf = (lmax + 1 - m) * nbins;
+    // Real fields are stored in place as the real parts of their meshes.
     const bool real_fields = m0_real && m == 0;
-    std::vector<std::vector<double>> re_fields;
-    std::vector<std::vector<cplx>> cx_fields;
-    if (real_fields)
-      re_fields.resize(static_cast<std::size_t>(nf));
-    else
-      cx_fields.resize(static_cast<std::size_t>(nf));
 
     t.restart();
-    std::vector<std::vector<cplx>> per_bin;
-    for (int l = m; l <= lmax; ++l) {
-      sample_ylm_bin_kernels(ylm, l, m, cells, ncube, nbins, per_bin);
-      for (int b = 0; b < nbins; ++b) {
-        std::vector<cplx>& kern = per_bin[static_cast<std::size_t>(b)];
-        math::fft_3d(kern, n, -1);
+    sample_ylm_bin_kernels(ylm, m, cells, nbins, fields, nthreads);
+    for (int k = 0; k < nf; ++k) {
+      std::vector<cplx>& fld = fields[static_cast<std::size_t>(k)];
+      math::fft_3d(fld, n, -1);
 #pragma omp parallel for schedule(static) num_threads(nthreads)
-        for (long long i = 0; i < static_cast<long long>(ncube); ++i)
-          kern[static_cast<std::size_t>(i)] *=
-              what[static_cast<std::size_t>(i)];
-        const std::size_t fidx =
-            static_cast<std::size_t>(l - m) * nbins + static_cast<std::size_t>(b);
-        if (real_fields) {
-          re_fields[fidx].resize(ncube);
-          math::fft_c2r_3d(kern, n, re_fields[fidx].data(), 1);
-        } else {
-          math::fft_3d(kern, n, +1);
-          cx_fields[fidx] = std::move(kern);
-        }
-      }
+      for (long long i = 0; i < static_cast<long long>(ncube); ++i)
+        fld[static_cast<std::size_t>(i)] *= what[static_cast<std::size_t>(i)];
+      if (real_fields)
+        math::fft_c2r_3d(fld, n, reinterpret_cast<double*>(fld.data()), 2);
+      else
+        math::fft_3d(fld, n, +1);
     }
     st.phases.add("kernel fft + convolution", t.seconds());
 
@@ -392,17 +412,13 @@ ZetaResult fft_3pcf(const EngineConfig& cfg, const sim::Catalog& catalog,
                                 sidx[ns] = idx;
                                 ++ns;
                               });
-        std::fill(v.begin(), v.end(), cplx(0.0, 0.0));
-        if (real_fields) {
-          for (int k = 0; k < nf; ++k) {
-            const double* fld = re_fields[static_cast<std::size_t>(k)].data();
+        for (int k = 0; k < nf; ++k) {
+          const cplx* fld = fields[static_cast<std::size_t>(k)].data();
+          if (real_fields) {
             double s = 0.0;
-            for (int c = 0; c < ns; ++c) s += sw[c] * fld[sidx[c]];
+            for (int c = 0; c < ns; ++c) s += sw[c] * fld[sidx[c]].real();
             v[static_cast<std::size_t>(k)] = s;
-          }
-        } else {
-          for (int k = 0; k < nf; ++k) {
-            const cplx* fld = cx_fields[static_cast<std::size_t>(k)].data();
+          } else {
             cplx s(0.0, 0.0);
             for (int c = 0; c < ns; ++c) s += sw[c] * fld[sidx[c]];
             v[static_cast<std::size_t>(k)] = s;

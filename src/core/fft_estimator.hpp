@@ -15,8 +15,9 @@
 // at each primary's EXACT position (same assignment window) and fed into
 // the same zeta/2PCF accumulation the tree backend uses, so n_primaries,
 // sum_primary_weight and every coefficient have identical semantics; only
-// the secondary side is gridded. Fields are streamed one m at a time to
-// bound memory at (lmax+1-m) * nbins meshes.
+// the secondary side is gridded. Fields are streamed one m at a time
+// through (lmax+1) * nbins meshes allocated once per solve: each mesh holds
+// a sampled kernel, its spectrum, then its a_lm field, in place.
 //
 // Validity gates (checked by validate_fft_config):
 //   - periodic box [0, box_side)^3, box_side > 0 (positions are wrapped);
@@ -25,7 +26,8 @@
 //     bins.rmax() < box_side / 2 (minimum-image separations unambiguous);
 //   - subtract_self_pairs unsupported (the j == k terms need each
 //     secondary's mu; the mesh has no discrete secondaries);
-//   - grid_n a power of two (radix-2 FFT).
+//   - grid_n a power of two (radix-2 FFT);
+//   - at most FftBinCells::kMaxAntialiasBins bins with edge_antialias.
 //
 // n_pairs is reported as 0: the mesh has no discrete pair count.
 #pragma once
@@ -67,6 +69,10 @@ class FftEstimator final : public Estimator {
 // rest. `x_begin`/`x_end` select a plane range (slab decomposition); idx is
 // relative to the range: (ix - x_begin)*n*n + iy*n + iz.
 struct FftBinCells {
+  // Bin-count ceiling of the edge-antialiased split (its per-cell counts
+  // live on the stack); validate_fft_config rejects larger configs.
+  static constexpr int kMaxAntialiasBins = 64;
+
   struct Cell {
     std::size_t idx;
     int bin;
@@ -86,11 +92,15 @@ struct FftBinCells {
                            bool edge_antialias);
 };
 
-// Fills per_bin[b] (each resized and zeroed to the plane-range size) with
-// the reversed kernel K_rev = conj(Y_lm(-s_hat)) [ |s| in b ].
-void sample_ylm_bin_kernels(const math::SphHarmTable& ylm, int l, int m,
-                            const FftBinCells& cells, std::size_t mesh_size,
-                            int nbins, std::vector<std::vector<math::cplx>>& per_bin);
+// Zero-fills kernels[(l - m) * nbins + b] for l in [m, ylm.lmax()] (each
+// already sized to the plane range) and writes the reversed kernel
+// K_rev = conj(Y_lm(-s_hat)) [ |s| in b ] into its cells, under OpenMP
+// with `nthreads` threads. Allocates nothing: callers size the meshes once
+// per solve and reuse them for every m.
+void sample_ylm_bin_kernels(const math::SphHarmTable& ylm, int m,
+                            const FftBinCells& cells, int nbins,
+                            std::vector<std::vector<math::cplx>>& kernels,
+                            int nthreads);
 
 // One factor of the mass-assignment Fourier window along one axis:
 // sinc(pi j~ / n)^order with the signed mode j~ = j <= n/2 ? j : j - n.

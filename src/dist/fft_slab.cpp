@@ -28,7 +28,7 @@ namespace {
 // spec[((jy - y0) * n + jx) * n + jz] — pointwise spectral work only needs
 // (jx, jy, jz) recoverable from the index, which it is. inverse() undoes
 // the trip (x-lines, transpose back, y-lines, z-lines), restoring x-slab
-// layout with the full 1/n^3 normalization (fft_1d divides by n per
+// layout with the full 1/n^3 normalization (fft_lines divides by n per
 // inverse pass).
 class SlabFft {
  public:
@@ -57,29 +57,14 @@ class SlabFft {
  private:
   // Innermost-axis lines are contiguous in both layouts.
   void line_pass_z(std::vector<cplx>& a, int sign) {
-    const long long nrows = static_cast<long long>(nloc_ * n_);
-#pragma omp parallel for schedule(static) num_threads(nthreads_)
-    for (long long row = 0; row < nrows; ++row)
-      math::fft_1d(a.data() + static_cast<std::size_t>(row) * n_, n_, sign);
+    math::fft_lines(a.data(), n_, {1, n_, nloc_ * n_}, sign, nthreads_);
   }
 
   // Middle-axis lines: stride n_ at fixed (outer plane, iz) in either
   // layout (y-lines before the transpose, x-lines after).
   void line_pass_strided(std::vector<cplx>& a, int sign) {
-    const long long nlines = static_cast<long long>(nloc_ * n_);
-#pragma omp parallel num_threads(nthreads_)
-    {
-      std::vector<cplx> line(n_);
-#pragma omp for schedule(static)
-      for (long long li = 0; li < nlines; ++li) {
-        const std::size_t plane = static_cast<std::size_t>(li) / n_;
-        const std::size_t iz = static_cast<std::size_t>(li) % n_;
-        cplx* base = a.data() + (plane * n_) * n_ + iz;
-        for (std::size_t k = 0; k < n_; ++k) line[k] = base[k * n_];
-        math::fft_1d(line.data(), n_, sign);
-        for (std::size_t k = 0; k < n_; ++k) base[k * n_] = line[k];
-      }
-    }
+    math::fft_lines(a.data(), n_, {n_, 1, n_, nloc_, n_ * n_}, sign,
+                    nthreads_);
   }
 
   // All-to-all block exchange between x-slab and y-slab layouts — the SAME
@@ -344,25 +329,25 @@ core::ZetaResult fft_slab_3pcf(Comm& comm, const sim::Catalog& mine,
 
   const int prev = (r + P - 1) % P;
   const int next = (r + 1) % P;
-  std::vector<std::vector<cplx>> per_bin;
+  // (lmax + 1) * nbins slab meshes, allocated once and reused for every m
+  // (see core::fft_3pcf).
+  std::vector<std::vector<cplx>> fields(
+      static_cast<std::size_t>((lmax + 1) * nbins));
+#pragma omp parallel for schedule(static, 1) num_threads(nthreads)
+  for (long long k = 0; k < static_cast<long long>(fields.size()); ++k)
+    fields[static_cast<std::size_t>(k)].resize(nslab);
   for (int m = 0; m <= lmax; ++m) {
     const int nf = (lmax + 1 - m) * nbins;
-    std::vector<std::vector<cplx>> fields(static_cast<std::size_t>(nf));
 
     t.restart();
-    for (int l = m; l <= lmax; ++l) {
-      core::sample_ylm_bin_kernels(ylm, l, m, cells, nslab, nbins, per_bin);
-      for (int b = 0; b < nbins; ++b) {
-        std::vector<cplx>& kern = per_bin[static_cast<std::size_t>(b)];
-        fft.forward(kern);
+    core::sample_ylm_bin_kernels(ylm, m, cells, nbins, fields, nthreads);
+    for (int k = 0; k < nf; ++k) {
+      std::vector<cplx>& fld = fields[static_cast<std::size_t>(k)];
+      fft.forward(fld);
 #pragma omp parallel for schedule(static) num_threads(nthreads)
-        for (long long i = 0; i < static_cast<long long>(nslab); ++i)
-          kern[static_cast<std::size_t>(i)] *=
-              what[static_cast<std::size_t>(i)];
-        fft.inverse(kern);
-        fields[static_cast<std::size_t>(l - m) * nbins +
-               static_cast<std::size_t>(b)] = std::move(kern);
-      }
+      for (long long i = 0; i < static_cast<long long>(nslab); ++i)
+        fld[static_cast<std::size_t>(i)] *= what[static_cast<std::size_t>(i)];
+      fft.inverse(fld);
     }
     st.phases.add("kernel fft + convolution", t.seconds());
 

@@ -1,6 +1,8 @@
-// FFT substrate tests: oracle agreement, round trips, Parseval, 3-D axes.
+// FFT substrate tests: oracle agreement, round trips, Parseval, 3-D axes,
+// batched strided lines, and twiddle accuracy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "math/fft.hpp"
@@ -16,6 +18,27 @@ std::vector<cd> random_signal(std::size_t n, std::uint64_t seed) {
   std::vector<cd> v(n);
   for (auto& x : v) x = cd(rng.normal(), rng.normal());
   return v;
+}
+
+// Naive separable 3-D DFT: dft_reference along z, then y, then x.
+std::vector<cd> naive_dft_3d(std::vector<cd> a, std::size_t n, int sign) {
+  const std::size_t axis_stride[3] = {1, n, n * n};
+  for (std::size_t s : axis_stride)
+    for (std::size_t base = 0; base < n * n * n; ++base) {
+      if ((base / s) % n != 0) continue;  // not the first element of a line
+      std::vector<cd> line(n);
+      for (std::size_t k = 0; k < n; ++k) line[k] = a[base + k * s];
+      line = m::dft_reference(line, sign);
+      for (std::size_t k = 0; k < n; ++k) a[base + k * s] = line[k];
+    }
+  return a;
+}
+
+double max_abs_diff(const std::vector<cd>& a, const std::vector<cd>& b) {
+  double e = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    e = std::max(e, std::abs(a[i] - b[i]));
+  return e;
 }
 
 }  // namespace
@@ -85,6 +108,38 @@ TEST(Fft1d, Parseval) {
   EXPECT_NEAR(freq_e, time_e * n, 1e-8 * time_e * n);
 }
 
+TEST(Fft1d, TwiddleTableAccuracyAtLength4096) {
+  // Table twiddles keep the error at a few ulp of the spectrum's rms; the
+  // former w *= wlen recurrence reached ~1.1e-13 of it at this length.
+  const std::size_t n = 4096;
+  const std::vector<cd> sig = random_signal(n, 4096);
+  const std::vector<cd> ref = m::dft_reference(sig, -1);
+  std::vector<cd> got = sig;
+  m::fft_1d(got.data(), n, -1);
+  double rms = 0.0;
+  for (const cd& v : ref) rms += std::norm(v);
+  rms = std::sqrt(rms / static_cast<double>(n));
+  EXPECT_LT(max_abs_diff(got, ref), 4e-14 * rms);
+}
+
+TEST(FftLines, StridedGroupsMatchPerLineTransforms) {
+  // Lines of length 8 along the middle axis of a 5 x 8 x 11 array: 11 lines
+  // per group (one full tile of eight plus a partial one), 5 groups.
+  const std::size_t n = 8, nz = 11, ngroups = 5;
+  const std::vector<cd> sig = random_signal(ngroups * n * nz, 71);
+  std::vector<cd> got = sig;
+  m::fft_lines(got.data(), n, {nz, 1, nz, ngroups, n * nz}, -1, 2);
+  for (std::size_t g = 0; g < ngroups; ++g)
+    for (std::size_t iz = 0; iz < nz; ++iz) {
+      std::vector<cd> line(n);
+      for (std::size_t k = 0; k < n; ++k)
+        line[k] = sig[g * n * nz + k * nz + iz];
+      m::fft_1d(line.data(), n, -1);
+      for (std::size_t k = 0; k < n; ++k)
+        EXPECT_EQ(got[g * n * nz + k * nz + iz], line[k]);
+    }
+}
+
 TEST(Fft1d, RejectsNonPowerOfTwo) {
   std::vector<cd> sig(12);
   EXPECT_THROW(m::fft_1d(sig.data(), 12, -1), std::logic_error);
@@ -98,6 +153,21 @@ TEST(Fft3d, RoundTrip) {
   m::fft_3d(work, n, +1);
   for (std::size_t i = 0; i < sig.size(); ++i)
     EXPECT_NEAR(std::abs(work[i] - sig[i]), 0.0, 1e-10);
+}
+
+TEST(Fft3d, MatchesNaiveSeparableDft) {
+  // Below, at and above the eight-line tile width.
+  for (std::size_t n : {2u, 4u, 8u, 16u, 32u}) {
+    const std::vector<cd> sig = random_signal(n * n * n, 300 + n);
+    for (int sign : {-1, 1}) {
+      std::vector<cd> got = sig;
+      m::fft_3d(got, n, sign);
+      const std::vector<cd> ref = naive_dft_3d(sig, n, sign);
+      const double scale = sign == -1 ? static_cast<double>(n * n * n) : 1.0;
+      EXPECT_LT(max_abs_diff(got, ref), 1e-14 * scale) << "n=" << n
+                                                       << " sign=" << sign;
+    }
+  }
 }
 
 TEST(Fft3d, SeparableSingleMode) {
@@ -142,6 +212,45 @@ TEST(FftR2c, MatchesComplexTransform) {
     for (std::size_t i = 0; i < got.size(); ++i)
       EXPECT_NEAR(std::abs(got[i] - staged[i]), 0.0, 1e-12) << "stride=" << stride;
   }
+}
+
+TEST(FftR2c, SmallAndLargeGridsThroughStrides) {
+  // r2c against the staged complex transform, then c2r back, at grids below
+  // and above the tile width.
+  for (std::size_t n : {2u, 4u, 16u})
+    for (std::size_t stride : {std::size_t{1}, std::size_t{3}}) {
+      const std::size_t n3 = n * n * n;
+      m::Rng rng(500 + n + stride);
+      std::vector<double> real(n3 * stride, -7.0);  // sentinel between
+      for (std::size_t i = 0; i < n3; ++i) real[i * stride] = rng.normal();
+      std::vector<cd> staged(n3);
+      for (std::size_t i = 0; i < n3; ++i)
+        staged[i] = cd(real[i * stride], 0.0);
+      m::fft_3d(staged, n, -1);
+      std::vector<cd> spec;
+      m::fft_r2c_3d(real.data(), stride, n, spec);
+      ASSERT_EQ(spec.size(), n3);
+      EXPECT_LT(max_abs_diff(spec, staged), 1e-12)
+          << "n=" << n << " stride=" << stride;
+      std::vector<double> back(n3 * stride, -7.0);
+      m::fft_c2r_3d(spec, n, back.data(), stride);
+      for (std::size_t i = 0; i < n3 * stride; ++i)
+        EXPECT_NEAR(back[i], real[i], 1e-12)
+            << "n=" << n << " stride=" << stride << " i=" << i;
+    }
+}
+
+TEST(FftC2r, InPlaceIntoRealPartsOfTheSpectrum) {
+  // The estimator writes real fields over their own spectra (stride 2).
+  const std::size_t n = 16, n3 = n * n * n;
+  m::Rng rng(83);
+  std::vector<double> real(n3);
+  for (double& v : real) v = rng.normal();
+  std::vector<cd> spec;
+  m::fft_r2c_3d(real.data(), 1, n, spec);
+  m::fft_c2r_3d(spec, n, reinterpret_cast<double*>(spec.data()), 2);
+  for (std::size_t i = 0; i < n3; ++i)
+    EXPECT_NEAR(spec[i].real(), real[i], 1e-12) << "i=" << i;
 }
 
 TEST(FftR2c, DeltaFunctionSpectrumIsPlaneWave) {

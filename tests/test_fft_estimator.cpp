@@ -138,6 +138,22 @@ TEST(FftEstimator, RejectsInvalidConfigs) {
   }
 }
 
+TEST(FftEstimator, ConstructorRejectsTooManyAntialiasedBins) {
+  // The antialiased cell split caps the bin count; construction must reject
+  // a larger config rather than the solve throwing midway.
+  constexpr int kMax = c::FftBinCells::kMaxAntialiasBins;
+  c::EngineConfig cfg = small_fft_config();
+  cfg.fft.edge_antialias = true;
+  cfg.bins = c::RadialBins(1.7, 6.3, kMax + 1);
+  EXPECT_THROW(c::FftEstimator{cfg}, std::logic_error);
+  EXPECT_THROW(c::make_estimator(cfg), std::logic_error);
+  cfg.bins = c::RadialBins(1.7, 6.3, kMax);
+  EXPECT_NO_THROW(c::FftEstimator{cfg});
+  cfg.fft.edge_antialias = false;  // sharp binning has no cap
+  cfg.bins = c::RadialBins(1.7, 6.3, kMax + 1);
+  EXPECT_NO_THROW(c::FftEstimator{cfg});
+}
+
 TEST(FftEstimator, BuildIndexIsTreeOnly) {
   const s::Catalog cat = galactos::testing::clumpy_catalog(50, 20.0, 5);
   EXPECT_THROW(c::Engine(small_fft_config()).build_index(cat),
