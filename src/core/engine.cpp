@@ -71,19 +71,20 @@ Index make_index(const sim::Catalog& catalog, const EngineConfig& cfg,
 
 // Dense accepted-pair staging shared by every traversal driver. fill()
 // applies the candidate block's range filter / self exclusion / coincident
-// rejection and compacts the survivors — in candidate order — into SoA
-// arrays of separation, r, 1/r and weight. This reproduces the accept set
-// the per-primary index query computes during its gather, so (like
-// separation formation) the filter runs on neighbor-query time; the kernel
-// phase then walks only real pairs with no data-dependent branches.
+// rejection and stages the survivors — in candidate order — as SoA arrays
+// of separation, r, 1/r and weight. This reproduces the accept set the
+// per-primary index query computes during its gather, so (like separation
+// formation) the filter runs on neighbor-query time; the kernel phase then
+// walks only real pairs with no data-dependent branches.
 //
+// Two sweeps: the first compacts the accepted candidate indices
+// (branchless: always store, masked advance), the second gathers those
+// candidates and takes sqrt and 1/r of accepted pairs only — a candidate
+// the filter rejects costs one compare, not a square root and six stores.
 // No bits change anywhere: the range compare stays in index precision
 // (Real), acceptance order is candidate order, sqrt and reciprocal are
-// IEEE-exact (the 8-wide hoist yields bitwise the values the accept loops
-// used to compute inline), and dx stays unnormalized so the consumer still
-// forms dx * (1/r) from identical operands. Compaction is branchless
-// (always-store, masked advance): rejected lanes write junk (1/0 = inf)
-// that the next candidate overwrites or `count` hides.
+// IEEE-exact, and dx stays unnormalized so the consumer still forms
+// dx * (1/r) from identical operands.
 class PairStage {
  public:
   std::size_t count = 0;
@@ -95,41 +96,46 @@ class PairStage {
   void fill(const Real* sdx, const Real* sdy, const Real* sdz,
             const Real* sr2, const double* sw, const std::int64_t* sidx,
             std::size_t n, Real r2max, std::int64_t self) {
-    hr_.resize(n);
-    hinv_.resize(n);
-    double* __restrict rp = hr_.data();
-    double* __restrict ip = hinv_.data();
-#pragma omp simd
-    for (std::size_t j = 0; j < n; ++j) {
-      const double rj = std::sqrt(static_cast<double>(sr2[j]));
-      rp[j] = rj;
-      ip[j] = 1.0 / rj;
+    if (sel_.size() < n) {
+      sel_.resize(n);
+      dx.resize(n);
+      dy.resize(n);
+      dz.resize(n);
+      r.resize(n);
+      inv.resize(n);
+      w.resize(n);
     }
-    dx.resize(n);
-    dy.resize(n);
-    dz.resize(n);
-    r.resize(n);
-    inv.resize(n);
-    w.resize(n);
+    std::uint32_t* __restrict sel = sel_.data();
     std::size_t cnt = 0;
     for (std::size_t j = 0; j < n; ++j) {
       const unsigned ok = static_cast<unsigned>(sr2[j] <= r2max) &
                           static_cast<unsigned>(sidx[j] != self) &
                           static_cast<unsigned>(
                               static_cast<double>(sr2[j]) > 0.0);
-      dx[cnt] = static_cast<double>(sdx[j]);
-      dy[cnt] = static_cast<double>(sdy[j]);
-      dz[cnt] = static_cast<double>(sdz[j]);
-      r[cnt] = rp[j];
-      inv[cnt] = ip[j];
-      w[cnt] = sw[j];
+      sel[cnt] = static_cast<std::uint32_t>(j);
       cnt += ok;
+    }
+    double* __restrict ox = dx.data();
+    double* __restrict oy = dy.data();
+    double* __restrict oz = dz.data();
+    double* __restrict orr = r.data();
+    double* __restrict oi = inv.data();
+    double* __restrict ow = w.data();
+    for (std::size_t k = 0; k < cnt; ++k) {
+      const std::uint32_t j = sel[k];
+      const double rj = std::sqrt(static_cast<double>(sr2[j]));
+      ox[k] = static_cast<double>(sdx[j]);
+      oy[k] = static_cast<double>(sdy[j]);
+      oz[k] = static_cast<double>(sdz[j]);
+      orr[k] = rj;
+      oi[k] = 1.0 / rj;
+      ow[k] = sw[j];
     }
     count = cnt;
   }
 
  private:
-  std::vector<double> hr_, hinv_;  // full-length hoisted sqrt / 1/r
+  std::vector<std::uint32_t> sel_;  // accepted candidate indices
 };
 
 // Per-bin staging for the leaf-blocked driver's batch-binning pass: one
@@ -578,8 +584,12 @@ void traverse(const Traversal<Real, Index>& tv,
                             kernel_flops_per_pair(tv.cfg.lmax);
 
   if (result) {
-    // Thread-id order, so results are bit-identical run to run and an
-    // empty completion pass reproduces the fused run bitwise.
+    // Thread-id order, so an empty completion pass reproduces the fused run
+    // bitwise. Run-to-run bit identity needs more: which primaries a thread
+    // accumulates, and in what order, is fixed only at one thread or under
+    // kStatic — kDynamic hands leaves to whichever thread is free, so with
+    // several threads the per-thread sums (and the merged result) differ in
+    // the last bits from run to run.
     ZetaAccumulator zeta_total(tv.cfg.lmax, tv.nbins);
     TwoPcfAccumulator xi_total(tv.cfg.lmax, tv.nbins);
     std::uint64_t pairs_total = 0;
@@ -646,6 +656,9 @@ class OwnedBody {
   }
 
   void finish(Tally& tally) {
+    Timer tz;
+    zeta_.flush();  // the last, partial batch
+    tally.zeta += tz.seconds();
     if (sp_) sp_->fold_into(zeta_);
     tally.pairs = tally.kernel_pairs = pipe_.acc.pairs_processed();
   }

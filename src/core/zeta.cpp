@@ -3,19 +3,18 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/kernel.hpp"
+#include "core/kernel_isa.hpp"
 #include "math/sph_table.hpp"
 
 namespace galactos::core {
 
 LlmIndex::LlmIndex(int lmax) : lmax_(lmax) {
   GLX_CHECK(lmax >= 0);
-  const int n1 = lmax + 1;
-  lookup_.assign(n1 * n1 * n1, -1);
   // m-major ordering: the zeta hot loop runs contiguously over lp.
   for (int m = 0; m <= lmax; ++m)
     for (int l = m; l <= lmax; ++l)
       for (int lp = m; lp <= lmax; ++lp) {
-        lookup_[(l * n1 + lp) * n1 + m] = static_cast<int>(triples_.size());
         triples_.push_back({l, lp, m});
         alm1_.push_back(math::lm_index(l, m));
         alm2_.push_back(math::lm_index(lp, m));
@@ -25,6 +24,7 @@ LlmIndex::LlmIndex(int lmax) : lmax_(lmax) {
 ZetaAccumulator::ZetaAccumulator(int lmax, int nbins)
     : nbins_(nbins), llm_(lmax) {
   GLX_CHECK(nbins >= 1);
+  static_assert(kBatch >= 1 && kBatch <= 32, "one mask bit per batch slot");
   const std::size_t total =
       static_cast<std::size_t>(bin_pair_count(nbins)) * llm_.size();
   re_.assign(total, 0.0);
@@ -34,65 +34,90 @@ ZetaAccumulator::ZetaAccumulator(int lmax, int nbins)
   tr_im_.assign(static_cast<std::size_t>(nbins) * nlm, 0.0);
   tb_re_.assign(static_cast<std::size_t>(nbins) * nlm, 0.0);
   tb_im_.assign(static_cast<std::size_t>(nbins) * nlm, 0.0);
+  row_off_.resize(static_cast<std::size_t>(lmax) + 1);
+  for (int m = 0; m <= lmax; ++m) {
+    row_off_[m] = row_len_;
+    row_len_ += (lmax + 1 - m + kLanes - 1) / kLanes * kLanes;
+  }
 }
 
 void ZetaAccumulator::add_primary(double wp, const std::complex<double>* alm,
                                   const std::uint8_t* touched) {
   const int lmax = llm_.lmax();
   const int nlm = math::nlm(lmax);
+  const std::size_t rec = static_cast<std::size_t>(row_len_);
+  if (batch_re_.empty()) {
+    const std::size_t n = static_cast<std::size_t>(nbins_) * kBatch * rec;
+    batch_re_.assign(n, 0.0);  // row padding stays zero for good
+    batch_im_.assign(n, 0.0);
+    scaled_re_.assign(kBatch * rec, 0.0);
+    scaled_im_.assign(kBatch * rec, 0.0);
+    batch_mask_.assign(static_cast<std::size_t>(nbins_), 0u);
+  }
 
-  // Transpose touched bins' a_lm to m-major planes.
+  // Transpose touched bins' a_lm into this slot's m-major rows.
+  const int p = batch_n_;
+  batch_wp_[p] = wp;
   for (int b = 0; b < nbins_; ++b) {
     if (!touched[b]) continue;
+    batch_mask_[b] |= 1u << p;
     const std::complex<double>* a =
         alm + static_cast<std::size_t>(b) * nlm;
-    double* tr = tr_re_.data() + static_cast<std::size_t>(b) * nlm;
-    double* ti = tr_im_.data() + static_cast<std::size_t>(b) * nlm;
+    const std::size_t at = (static_cast<std::size_t>(b) * kBatch + p) * rec;
+    double* tr = batch_re_.data() + at;
+    double* ti = batch_im_.data() + at;
     for (int m = 0; m <= lmax; ++m)
       for (int l = m; l <= lmax; ++l) {
         const std::complex<double> v = a[math::lm_index(l, m)];
-        const int k = ml_index(m, l);
+        const int k = row_off_[m] + (l - m);
         tr[k] = v.real();
         ti[k] = v.imag();
       }
   }
-
-  const int nllm = llm_.size();
-  for (int b1 = 0; b1 < nbins_; ++b1) {
-    if (!touched[b1]) continue;
-    const double* a1r = tr_re_.data() + static_cast<std::size_t>(b1) * nlm;
-    const double* a1i = tr_im_.data() + static_cast<std::size_t>(b1) * nlm;
-    for (int b2 = b1; b2 < nbins_; ++b2) {
-      if (!touched[b2]) continue;
-      const double* a2r = tr_re_.data() + static_cast<std::size_t>(b2) * nlm;
-      const double* a2i = tr_im_.data() + static_cast<std::size_t>(b2) * nlm;
-      const std::size_t base =
-          static_cast<std::size_t>(bin_pair(b1, b2)) * nllm;
-      double* __restrict outr = re_.data() + base;
-      double* __restrict outi = im_.data() + base;
-      int idx = 0;
-      for (int m = 0; m <= lmax; ++m) {
-        const int cnt = lmax + 1 - m;
-        const double* __restrict br = a2r + ml_index(m, m);
-        const double* __restrict bi = a2i + ml_index(m, m);
-        for (int l = m; l <= lmax; ++l) {
-          // t = wp * a_lm(b1); out += t * conj(a_l'm(b2)) over contiguous l'.
-          const double tr = wp * a1r[ml_index(m, l)];
-          const double ti = wp * a1i[ml_index(m, l)];
-          double* __restrict r = outr + idx;
-          double* __restrict i = outi + idx;
-#pragma omp simd
-          for (int k = 0; k < cnt; ++k) {
-            r[k] += tr * br[k] + ti * bi[k];
-            i[k] += ti * br[k] - tr * bi[k];
-          }
-          idx += cnt;
-        }
-      }
-    }
-  }
   sum_wp_ += wp;
   n_primaries_ += 1;
+  if (++batch_n_ == kBatch) flush();
+}
+
+void ZetaAccumulator::flush() {
+  if (batch_n_ == 0) return;
+  ZetaBatchView v;
+  v.lmax = llm_.lmax();
+  v.nbins = nbins_;
+  v.capacity = kBatch;
+  v.row_len = row_len_;
+  v.row_off = row_off_.data();
+  v.wp = batch_wp_;
+  v.mask = batch_mask_.data();
+  v.ar = batch_re_.data();
+  v.ai = batch_im_.data();
+  v.scaled_re = scaled_re_.data();
+  v.scaled_im = scaled_im_.data();
+  v.re = re_.data();
+  v.im = im_.data();
+  switch (kernel_isa()) {
+#if defined(GALACTOS_KERNEL_HAVE_AVX512)
+    case KernelIsa::kAvx512:
+      isa_avx512::zeta_flush(v);
+      break;
+#endif
+#if defined(GALACTOS_KERNEL_HAVE_AVX2)
+    case KernelIsa::kAvx2:
+      isa_avx2::zeta_flush(v);
+      break;
+#endif
+    default:
+      isa_scalar::zeta_flush(v);
+      break;
+  }
+  std::fill(batch_mask_.begin(), batch_mask_.end(), 0u);
+  batch_n_ = 0;
+}
+
+void ZetaAccumulator::check_flushed() const {
+  GLX_CHECK_MSG(batch_n_ == 0, "ZetaAccumulator read with "
+                                   << batch_n_
+                                   << " primaries pending: call flush() first");
 }
 
 void ZetaAccumulator::add_primary_cross(double wp,
@@ -100,6 +125,7 @@ void ZetaAccumulator::add_primary_cross(double wp,
                                         const std::uint8_t* touched_a,
                                         const std::complex<double>* alm_b,
                                         const std::uint8_t* touched_b) {
+  flush();
   const int lmax = llm_.lmax();
   const int nlm = math::nlm(lmax);
 
@@ -186,6 +212,7 @@ void ZetaAccumulator::add_primary_cross(double wp,
 }
 
 void ZetaAccumulator::subtract_self(int bin, const double* self) {
+  flush();
   const int nllm = llm_.size();
   const std::size_t base =
       static_cast<std::size_t>(bin_pair(bin, bin)) * nllm;
@@ -194,6 +221,8 @@ void ZetaAccumulator::subtract_self(int bin, const double* self) {
 
 void ZetaAccumulator::merge(const ZetaAccumulator& other) {
   GLX_CHECK(other.nbins_ == nbins_ && other.llm_.lmax() == llm_.lmax());
+  other.check_flushed();
+  flush();
   for (std::size_t i = 0; i < re_.size(); ++i) {
     re_[i] += other.re_[i];
     im_[i] += other.im_[i];
@@ -204,6 +233,7 @@ void ZetaAccumulator::merge(const ZetaAccumulator& other) {
 
 std::complex<double> ZetaAccumulator::raw(int b1, int b2, int l, int lp,
                                           int m) const {
+  check_flushed();
   if (b1 <= b2) {
     const std::size_t i =
         static_cast<std::size_t>(bin_pair(b1, b2)) * llm_.size() +
@@ -217,6 +247,7 @@ std::complex<double> ZetaAccumulator::raw(int b1, int b2, int l, int lp,
 }
 
 std::vector<std::complex<double>> ZetaAccumulator::snapshot() const {
+  check_flushed();
   std::vector<std::complex<double>> out(re_.size());
   for (std::size_t i = 0; i < re_.size(); ++i) out[i] = {re_[i], im_[i]};
   return out;
@@ -224,16 +255,17 @@ std::vector<std::complex<double>> ZetaAccumulator::snapshot() const {
 
 std::complex<double> ZetaResult::zeta_m(int b1, int b2, int l, int lp,
                                         int m) const {
-  LlmIndex llm(lmax);  // cheap relative to analysis use; callers may cache
   const int nb = bins.count();
   GLX_CHECK(b1 >= 0 && b1 < nb && b2 >= 0 && b2 < nb);
+  GLX_CHECK(l >= 0 && l <= lmax && lp >= 0 && lp <= lmax && m >= 0 &&
+            m <= std::min(l, lp));
+  const std::size_t nllm = static_cast<std::size_t>(LlmIndex::count(lmax));
   auto bp = [&](int a, int b) { return a * nb - a * (a - 1) / 2 + (b - a); };
   if (b1 <= b2)
-    return zeta_data[static_cast<std::size_t>(bp(b1, b2)) * llm.size() +
-                     llm.index(l, lp, m)];
-  return std::conj(
-      zeta_data[static_cast<std::size_t>(bp(b2, b1)) * llm.size() +
-                llm.index(lp, l, m)]);
+    return zeta_data[static_cast<std::size_t>(bp(b1, b2)) * nllm +
+                     LlmIndex::position(lmax, l, lp, m)];
+  return std::conj(zeta_data[static_cast<std::size_t>(bp(b2, b1)) * nllm +
+                             LlmIndex::position(lmax, lp, l, m)]);
 }
 
 std::complex<double> ZetaResult::zeta_m_mean(int b1, int b2, int l, int lp,

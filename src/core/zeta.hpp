@@ -39,27 +39,57 @@ class LlmIndex {
   int index(int l, int lp, int m) const {
     GLX_DCHECK(l >= 0 && l <= lmax_ && lp >= 0 && lp <= lmax_ && m >= 0 &&
                m <= std::min(l, lp));
-    return lookup_[(l * (lmax_ + 1) + lp) * (lmax_ + 1) + m];
+    return position(lmax_, l, lp, m);
   }
+
+  // index(l, lp, m) and size() without an instance: m-major blocks of
+  // (lmax + 1 - m)^2 entries, l outer, l' inner.
+  static int position(int lmax, int l, int lp, int m) {
+    return block_start(lmax, m) + (l - m) * (lmax + 1 - m) + (lp - m);
+  }
+  static int count(int lmax) { return block_start(lmax, lmax + 1); }
 
   // Flat a_lm indices for each triple (precomputed for the hot loop).
   const std::vector<int>& alm_index_1() const { return alm1_; }
   const std::vector<int>& alm_index_2() const { return alm2_; }
 
  private:
+  // Entries in the blocks before block m: sum_{k<m} (lmax + 1 - k)^2.
+  static int block_start(int lmax, int m) {
+    auto squares = [](int x) { return x * (x + 1) * (2 * x + 1) / 6; };
+    return squares(lmax + 1) - squares(lmax + 1 - m);
+  }
+
   int lmax_;
   std::vector<Llm> triples_;
-  std::vector<int> lookup_;
   std::vector<int> alm1_, alm2_;
 };
 
 // Accumulates zeta over primaries; one instance per thread, merged at the
 // end (paper §3.3: "multipole values are combined at the end of the loop
-// over primary galaxies"). Internally the coefficients live in separate
-// real/imaginary planes and a_lm is transposed to m-major layout per
-// primary, so the hot loop is a pair of FMA-vectorizable sweeps over l'.
+// over primary galaxies"). The coefficients live in separate real/imaginary
+// planes, [bin_pair][LlmIndex].
+//
+// add_primary does not sweep the planes itself. It packs the primary into a
+// batch of kBatch primaries (wp, a_lm transposed to m-major rows padded to
+// kLanes doubles, a per-bin touched mask) and flushes the batch when it is
+// full: per bin pair, each (m, l) output row stays in vector registers while
+// the batch primaries that touched both bins stream past in order, so the
+// planes cross the cache once per batch instead of once per primary. The
+// flush is compiled per ISA level (core/zeta_flush_body.hpp) and applies
+// each primary's update with the same unfused operation sequence as a
+// per-primary loop, so results are bitwise independent of the ISA level and
+// of where batches end.
+//
+// Every read or other change of the planes sees an empty batch: merge,
+// subtract_self and add_primary_cross flush first; the const readers raw and
+// snapshot (and merge's argument) require flush() to have been called and
+// GLX_CHECK it.
 class ZetaAccumulator {
  public:
+  // Primaries per batch (at most 32: one mask bit each).
+  static constexpr int kBatch = 16;
+
   ZetaAccumulator(int lmax, int nbins);
 
   int lmax() const { return llm_.lmax(); }
@@ -73,8 +103,13 @@ class ZetaAccumulator {
   }
 
   // alm: [nbins][nlm(lmax)] complex; touched: per-bin validity flags.
+  // Counts the primary at once; its products reach the planes at the next
+  // flush.
   void add_primary(double wp, const std::complex<double>* alm,
                    const std::uint8_t* touched);
+
+  // Folds the pending batch into the planes (no-op when empty).
+  void flush();
 
   // Two-pass completion term. With one primary's a_lm split over two
   // disjoint secondary sets, a = A + B (A = owned-only, already folded in
@@ -96,6 +131,7 @@ class ZetaAccumulator {
   // (SelfPairAccumulator::fold_into builds `self` from Legendre moments).
   void subtract_self(int bin, const double* self);
 
+  // Adds `other`, which must have been flushed.
   void merge(const ZetaAccumulator& other);
 
   // Raw accumulated sum over primaries (not divided by sum of weights).
@@ -111,12 +147,26 @@ class ZetaAccumulator {
   int ml_index(int m, int l) const {
     return m * (llm_.lmax() + 1) - m * (m - 1) / 2 + (l - m);
   }
+  void check_flushed() const;
 
   int nbins_;
   LlmIndex llm_;
-  std::vector<double> re_, im_;       // [bin_pair][llm] planes
-  std::vector<double> tr_re_, tr_im_; // scratch: m-major a_lm per bin
-  std::vector<double> tb_re_, tb_im_; // scratch: second operand of _cross
+  std::vector<double> re_, im_;  // [bin_pair][llm] planes
+
+  // The pending batch, allocated by the first add_primary (accumulators
+  // that only merge never pay for it). One record of row_len_ doubles per
+  // (bin, batch slot): a_l'm rows m = 0..lmax at row_off_[m], each padded
+  // with zeros to a multiple of kLanes.
+  int row_len_ = 0;
+  std::vector<int> row_off_;                 // [lmax + 1]
+  std::vector<double> batch_re_, batch_im_;  // [nbins][kBatch][row_len_]
+  std::vector<double> scaled_re_, scaled_im_;  // flush: wp * a of one bin
+  std::vector<std::uint32_t> batch_mask_;    // [nbins] bit p: slot p touched
+  double batch_wp_[kBatch] = {};
+  int batch_n_ = 0;
+
+  std::vector<double> tr_re_, tr_im_;  // _cross scratch: m-major A per bin
+  std::vector<double> tb_re_, tb_im_;  // _cross scratch: m-major B per bin
   double sum_wp_ = 0.0;
   std::uint64_t n_primaries_ = 0;
 };

@@ -8,11 +8,12 @@
 // generic code yields the scalar, AVX2 and AVX-512 kernels that
 // core/kernel.cpp dispatches between at runtime.
 //
-// The arithmetic set is intentionally tiny: lane-wise load/store, add, sub,
-// mul, div, and explicit FMA. add/mul are exact IEEE per lane on every
-// level, which is what lets the per-ISA kernels stay bitwise identical —
-// each lane of the 8-wide accumulator block sees the same operation
-// sequence no matter how many lanes a hardware vector holds. fmadd/fmsub
+// The arithmetic set is intentionally tiny: lane-wise load/store (whole or
+// the first n lanes), add, sub, mul, div, and explicit FMA. add/mul are
+// exact IEEE per lane on every level, which lets the per-ISA kernels stay
+// bitwise identical — each lane of the 8-wide accumulator block sees the
+// same operation sequence no matter how many lanes a hardware vector holds
+// (as long as the TU is built with -ffp-contract=off). fmadd/fmsub
 // fuse on AVX2/AVX-512 and fall back to mul-then-add on the generic level;
 // use them only where cross-level bitwise identity is NOT required (the
 // batched Y_lm recurrence).
@@ -46,6 +47,13 @@ struct DVec {
 
 inline DVec dv_load(const double* p) { return {_mm512_loadu_pd(p)}; }
 inline void dv_store(double* p, DVec a) { _mm512_storeu_pd(p, a.v); }
+// First n lanes (1 <= n <= kWidth); the rest read as zero / are not written.
+inline DVec dv_load_n(const double* p, int n) {
+  return {_mm512_maskz_loadu_pd(static_cast<__mmask8>((1u << n) - 1), p)};
+}
+inline void dv_store_n(double* p, DVec a, int n) {
+  _mm512_mask_storeu_pd(p, static_cast<__mmask8>((1u << n) - 1), a.v);
+}
 inline DVec dv_broadcast(double x) { return {_mm512_set1_pd(x)}; }
 inline DVec dv_zero() { return {_mm512_setzero_pd()}; }
 inline DVec operator+(DVec a, DVec b) { return {_mm512_add_pd(a.v, b.v)}; }
@@ -79,6 +87,16 @@ struct DVec {
 
 inline DVec dv_load(const double* p) { return {_mm256_loadu_pd(p)}; }
 inline void dv_store(double* p, DVec a) { _mm256_storeu_pd(p, a.v); }
+inline __m256i dv_lane_mask(int n) {
+  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(n),
+                            _mm256_setr_epi64x(0, 1, 2, 3));
+}
+inline DVec dv_load_n(const double* p, int n) {
+  return {_mm256_maskload_pd(p, dv_lane_mask(n))};
+}
+inline void dv_store_n(double* p, DVec a, int n) {
+  _mm256_maskstore_pd(p, dv_lane_mask(n), a.v);
+}
 inline DVec dv_broadcast(double x) { return {_mm256_set1_pd(x)}; }
 inline DVec dv_zero() { return {_mm256_setzero_pd()}; }
 inline DVec operator+(DVec a, DVec b) { return {_mm256_add_pd(a.v, b.v)}; }
@@ -124,6 +142,14 @@ inline DVec dv_broadcast(double x) {
   return r;
 }
 inline DVec dv_zero() { return dv_broadcast(0.0); }
+inline DVec dv_load_n(const double* p, int n) {
+  DVec r = dv_zero();
+  for (int i = 0; i < n; ++i) r.v[i] = p[i];
+  return r;
+}
+inline void dv_store_n(double* p, DVec a, int n) {
+  for (int i = 0; i < n; ++i) p[i] = a.v[i];
+}
 
 #define GLX_DVEC_LANEWISE(name, expr)                        \
   inline DVec name(DVec a, DVec b) {                         \

@@ -6,7 +6,12 @@
 #     error naming --periodic-box (both CLIs spell the box flag the same);
 #   * the same run with --periodic-box is accepted;
 #   * galactos --ranks 2 (the distributed pipeline) reports a nonzero wall
-#     time.
+#     time;
+#   * a negative --threads or --ranks (and, for galactos_dist_main on the
+#     thread transport, --ranks 0) exits 1 with an error naming the flag;
+#   * galactos --threads 1 --binary writes byte-identical .bin files on two
+#     runs of the same catalog (the bitwise-reproducibility contract that
+#     result comparisons across builds rely on).
 function(run_cli)
   execute_process(COMMAND ${CLI} ${ARGN}
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err
@@ -54,5 +59,44 @@ if(NAME STREQUAL "galactos")
     message(FATAL_ERROR
             "${NAME} --ranks 2: exit ${rc}, expected a nonzero wall time\n"
             "${out}${err}")
+  endif()
+endif()
+
+# Negative counts are typos, not requests: both CLIs refuse them by name.
+set(bad_flags --threads --ranks)
+set(bad_values -3 -2)
+if(NAME STREQUAL "galactos_dist_main")
+  list(APPEND bad_flags --ranks)
+  list(APPEND bad_values 0)
+endif()
+foreach(flag value IN ZIP_LISTS bad_flags bad_values)
+  run_cli(--input ${cat} --rmin 2 --rmax 8 --nbins 2 --lmax 2 ${flag} ${value}
+          --output cli_check_bad)
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "${flag}")
+    message(FATAL_ERROR
+            "${NAME} ${flag} ${value}: exit ${rc}, expected 1 naming ${flag}\n"
+            "${out}${err}")
+  endif()
+endforeach()
+
+if(NAME STREQUAL "galactos")
+  # One thread fixes every accumulation order: two runs must agree to the
+  # byte.
+  foreach(run a b)
+    run_cli(--input ${cat} --rmin 2 --rmax 8 --nbins 2 --lmax 4 --threads 1
+            --binary --output cli_check_repro_${run})
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR "${NAME} --threads 1 --binary: exit ${rc}\n"
+                          "${out}${err}")
+    endif()
+  endforeach()
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                          ${WORK}/cli_check_repro_a.bin
+                          ${WORK}/cli_check_repro_b.bin
+                  RESULT_VARIABLE differ)
+  if(NOT differ EQUAL 0)
+    message(FATAL_ERROR
+            "${NAME} --threads 1 --binary: two runs wrote different .bin "
+            "files")
   endif()
 endif()

@@ -97,6 +97,10 @@ int run(int argc, char** argv) {
   const std::string assignment = args.get_str("assignment", "tsc");
   const int interlace = args.get<int>("interlace", 1);
   args.finish();
+  // --threads 0 is the OpenMP default; --ranks 0 or 1 is the single-node
+  // path. Anything negative is a typo, not a request.
+  GLX_CHECK_MSG(threads >= 0, "--threads must be >= 0 (got " << threads << ")");
+  GLX_CHECK_MSG(ranks >= 0, "--ranks must be >= 0 (got " << ranks << ")");
 
   if (input.empty()) {
     std::fputs(kUsage, stderr);

@@ -99,6 +99,14 @@ int run_with_session(dist::Session& session, int argc, char** argv) {
   const int interlace = args.get<int>("interlace", 1);
   const double box = args.get<double>("periodic-box", 0.0);
   args.finish();
+  // --threads 0 is the OpenMP default. --ranks 0 means "the whole world"
+  // on MPI; the thread transport has no world to default to.
+  GLX_CHECK_MSG(threads >= 0, "--threads must be >= 0 (got " << threads << ")");
+  GLX_CHECK_MSG(ranks_arg >= 0, "--ranks must be >= 0 (got " << ranks_arg
+                                                              << ")");
+  GLX_CHECK_MSG(ranks_arg >= 1 || session.backend() == dist::Backend::kMpi,
+                "--ranks 0 is only meaningful under MPI; the thread "
+                "transport needs --ranks >= 1");
 
   const bool root = session.is_root();
   if (root)
