@@ -3,7 +3,6 @@
 //
 //   pre-binning bucket size k  (paper: 128, sized to the vector registers)
 //   ILP stream count           (paper: 4 independent vectors; more hurts)
-//   kernel scheme              (running-product vs cache-blocked z-buffer)
 //   OpenMP schedule            (paper: dynamic >> static)
 //   neighbor index             (k-d tree vs cell grid)
 //   tree precision             (mixed vs double; paper: 9% end-to-end)
@@ -69,11 +68,6 @@ int main(int argc, char** argv) {
     core::EngineConfig cfg = base;
     cfg.tree.ilp = ilp;
     row("ILP streams", "ilp=" + fmt(ilp, "%.0f"), run_best(cfg, cat));
-  }
-  {
-    core::EngineConfig cfg = base;
-    cfg.tree.scheme = core::KernelScheme::kZBuffered;
-    row("kernel scheme", "z-buffered (cache-blocked)", run_best(cfg, cat));
   }
   {
     core::EngineConfig cfg = base;

@@ -244,7 +244,6 @@ struct Traversal {
     kc.lmax = cfg.lmax;
     kc.nbins = nbins;
     kc.bucket_capacity = cfg.tree.bucket_capacity;
-    kc.scheme = cfg.tree.scheme;
     kc.ilp = cfg.tree.ilp;
     // Too few leaves starve a leaf-parallel run (e.g. a CellGrid whose
     // extent is a handful of R_max cells); the per-primary driver computes

@@ -96,7 +96,6 @@ struct TreeConfig {
   TraversalMode traversal = TraversalMode::kLeafBlocked;
   int leaf_size = 32;
 
-  KernelScheme scheme = KernelScheme::kRunningProduct;
   int ilp = 4;
   int bucket_capacity = 128;
 

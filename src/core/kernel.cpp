@@ -164,30 +164,6 @@ void kernel_running_product(const double* ux, const double* uy,
   }
 }
 
-void kernel_zbuffered(const double* ux, const double* uy, const double* uz,
-                      const double* w, int count, int lmax, double* acc,
-                      double* zscratch, bool overwrite) {
-  GLX_CHECK(count % kLanes == 0);
-  switch (active_isa()) {
-#if defined(GALACTOS_KERNEL_HAVE_AVX512)
-    case KernelIsa::kAvx512:
-      isa_avx512::kernel_zbuffered(ux, uy, uz, w, count, lmax, acc, zscratch,
-                                   overwrite);
-      return;
-#endif
-#if defined(GALACTOS_KERNEL_HAVE_AVX2)
-    case KernelIsa::kAvx2:
-      isa_avx2::kernel_zbuffered(ux, uy, uz, w, count, lmax, acc, zscratch,
-                                 overwrite);
-      return;
-#endif
-    default:
-      isa_scalar::kernel_zbuffered(ux, uy, uz, w, count, lmax, acc, zscratch,
-                                   overwrite);
-      return;
-  }
-}
-
 void kernel_reference(const double* ux, const double* uy, const double* uz,
                       const double* w, int count, int lmax, double* sums) {
   for (int i = 0; i < count; ++i) {
@@ -221,7 +197,6 @@ MultipoleAccumulator::MultipoleAccumulator(const KernelConfig& cfg)
   acc_.reset(nb * n_mono_ * kLanes);
   bucket_.reset(nb * 4 * cfg.bucket_capacity);
   sums_.reset(nb * n_mono_);
-  zscratch_.reset(2 * static_cast<std::size_t>(cfg.bucket_capacity));
   fill_.assign(cfg.nbins, 0);
   touched_.assign(cfg.nbins, 0);
   first_flush_.assign(cfg.nbins, 0);
@@ -249,13 +224,8 @@ void MultipoleAccumulator::run_kernel(int bin, const double* ux,
   double* a = acc_.data() + static_cast<std::size_t>(bin) * n_mono_ * kLanes;
   const bool overwrite = first_flush_[bin] != 0;
   first_flush_[bin] = 0;
-  if (cfg_.scheme == KernelScheme::kRunningProduct) {
-    kernel_running_product(ux, uy, uz, w, padded, cfg_.lmax, a, cfg_.ilp,
-                           overwrite);
-  } else {
-    kernel_zbuffered(ux, uy, uz, w, padded, cfg_.lmax, a, zscratch_.data(),
-                     overwrite);
-  }
+  kernel_running_product(ux, uy, uz, w, padded, cfg_.lmax, a, cfg_.ilp,
+                         overwrite);
 }
 
 void MultipoleAccumulator::flush(int bin) {

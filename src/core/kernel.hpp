@@ -15,13 +15,10 @@
 // * Lane accumulators (§3.3.2): each S[a,b,c] is an 8-wide lane array;
 //   groups of 8 pairs accumulate lane-wise and a single reduction per
 //   primary collapses lanes — replacing N/8 vector reductions with one.
-// * Two accumulation schemes (ablation, §3.3.2/§3.3.3):
-//   - kRunningProduct: per 8-pair chunk, walk the (a,b,c) monomial tree
-//     with running products; `ilp` independent chunks are interleaved to
-//     expose instruction-level parallelism (paper: 4 independent vectors).
-//   - kZBuffered: block over (a,b); a z-running buffer holds the whole
-//     bucket so the inner c-loop streams 16 independent vectors per
-//     monomial (the paper's cache-blocked variant).
+// * Running products (§3.3.2/§3.3.3): per 8-pair chunk, walk the (a,b,c)
+//   monomial tree with running products; `ilp` independent chunks are
+//   interleaved to expose instruction-level parallelism (paper: 4
+//   independent vectors).
 #pragma once
 
 #include <algorithm>
@@ -36,8 +33,6 @@
 namespace galactos::core {
 
 inline constexpr int kLanes = 8;  // 512-bit worth of doubles, as on KNL
-
-enum class KernelScheme { kRunningProduct, kZBuffered };
 
 // --- Runtime ISA dispatch -------------------------------------------------
 //
@@ -79,8 +74,7 @@ struct KernelConfig {
   int lmax = 10;
   int nbins = 10;
   int bucket_capacity = 128;  // pairs per bucket; multiple of kLanes
-  KernelScheme scheme = KernelScheme::kRunningProduct;  // paper's design
-  int ilp = 4;  // independent streams for kRunningProduct (1, 2 or 4)
+  int ilp = 4;  // independent running-product streams (1, 2 or 4)
 };
 
 // FLOPs per pair attributed to the kernel: one FMA (2 FLOPs) per monomial.
@@ -98,11 +92,6 @@ void kernel_running_product(const double* ux, const double* uy,
                             const double* uz, const double* w, int count,
                             int lmax, double* acc, int ilp,
                             bool overwrite = false);
-
-void kernel_zbuffered(const double* ux, const double* uy, const double* uz,
-                      const double* w, int count, int lmax, double* acc,
-                      double* zscratch /* >= 2*count doubles */,
-                      bool overwrite = false);
 
 // Scalar oracle (any count), accumulating directly into sums[n_mono].
 void kernel_reference(const double* ux, const double* uy, const double* uz,
@@ -185,7 +174,7 @@ class MultipoleAccumulator {
  private:
   void touch(int bin);
   void flush(int bin);
-  // Runs the configured bucket kernel on `padded` pairs (a multiple of
+  // Runs the bucket kernel on `padded` pairs (a multiple of
   // kLanes) from any memory, honoring the bin's first-flush overwrite.
   void run_kernel(int bin, const double* ux, const double* uy,
                   const double* uz, const double* w, int padded);
@@ -195,7 +184,6 @@ class MultipoleAccumulator {
   AlignedBuffer<double> acc_;     // [nbins][n_mono][kLanes]
   AlignedBuffer<double> bucket_;  // [nbins][4][capacity]
   AlignedBuffer<double> sums_;    // [nbins][n_mono]
-  AlignedBuffer<double> zscratch_;
   std::vector<int> fill_;
   std::vector<std::uint8_t> touched_;
   std::vector<std::uint8_t> first_flush_;

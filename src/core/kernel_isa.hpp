@@ -41,10 +41,6 @@ struct ZetaBatchView {
                               const double* uz, const double* w, int count,  \
                               int lmax, double* acc, int ilp,                \
                               bool overwrite);                               \
-  void kernel_zbuffered(const double* ux, const double* uy,                  \
-                        const double* uz, const double* w, int count,        \
-                        int lmax, double* acc, double* zscratch,             \
-                        bool overwrite);                                     \
   void zeta_flush(const ZetaBatchView& batch);
 
 namespace isa_scalar {

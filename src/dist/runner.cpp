@@ -54,7 +54,6 @@ std::string json_escape(const std::string& s) {
 const char* overlap_mode_name(OverlapMode mode) {
   switch (mode) {
     case OverlapMode::kSequential: return "sequential";
-    case OverlapMode::kIndexBuild: return "index_build";
     case OverlapMode::kTwoPass: return "two_pass";
   }
   return "unknown";
@@ -135,28 +134,60 @@ core::ZetaResult run_rank_pipeline(Comm& comm, const sim::Catalog& mine,
   rep.owned = n_owned;
   rep.levels = pending.result.levels;
 
-  // The pipeline: halo traffic is already in flight (sends buffered,
-  // receives posted), so everything timed between here and
-  // complete_halo_exchange() is work the halo hides behind
-  // (halo_hidden_seconds). kSequential drains the exchange first — the A/B
-  // baseline; kIndexBuild hides the owned-index build (the PR-3 pipeline);
-  // kTwoPass additionally runs the whole owned-vs-owned traversal before
-  // blocking, polling the outstanding receives between leaf batches.
-  double halo_seconds = 0.0;
-  double index_seconds = 0.0;
-  double owned_pass_seconds = 0.0;
-  double secondary_pass_seconds = 0.0;
-  double halo_hidden_seconds = 0.0;
+  // Halo traffic is already in flight (sends buffered, receives posted),
+  // so everything timed between here and complete_halo_exchange() is work
+  // the halo hides behind (halo_hidden_seconds). kSequential drains the
+  // exchange first — the A/B baseline; kTwoPass builds the owned index and
+  // runs the whole owned-vs-owned traversal before blocking, polling the
+  // outstanding receives between leaf batches.
   core::Engine::Staged staged;
   core::EngineStats stats;
-
+  core::ZetaResult local;
   PartitionResult part;
-  if (cfg.overlap == OverlapMode::kSequential) {
+
+  // Blocks on the exchange and records what it cost and carried.
+  const auto complete_halo = [&] {
     comm.set_phase(Phase::kHaloComplete);
     Timer th;
     part = complete_halo_exchange(pending);
-    halo_seconds = th.seconds();
-    rep.halo_seconds = halo_seconds;
+    rep.halo_seconds = th.seconds();
+    rep.held = part.local.size();
+    rep.halo_bytes_sent = part.traffic.bytes_sent;
+    rep.halo_bytes_recv = part.traffic.bytes_recv;
+    rep.halo_points_shipped = part.traffic.points_shipped;
+    rep.let_cells_sent = part.traffic.cells_sent;
+    rep.let_cells_pruned = part.traffic.cells_pruned;
+  };
+
+  // Halo copies act as secondaries only. Under kLet they arrive as pruned
+  // LET cells and the engine unpacks them directly (dropping cells beyond
+  // R_max of this rank's domain); under kFullShell they were appended to
+  // `local` after the owned block.
+  const auto add_halo_secondaries = [&] {
+    if (cfg.halo.mode == HaloMode::kLet) {
+      std::size_t let_points = 0;
+      for (const tree::LetMessage& m : part.let) let_points += m.point_count();
+      rep.held = n_owned + let_points;
+      if (staged.valid() && let_points > 0) {
+        const core::Engine::SecondaryBound bound{part.domain.lo,
+                                                 part.domain.hi};
+        Timer ti;
+        staged.extend_with_let(part.let, bound);
+        rep.index_build_seconds += ti.seconds();
+      }
+    } else if (staged.valid() && part.local.size() > n_owned) {
+      sim::Catalog halo;
+      halo.reserve(part.local.size() - n_owned);
+      for (std::size_t i = n_owned; i < part.local.size(); ++i)
+        halo.push_back(part.local.position(i), part.local.w[i]);
+      Timer ti;
+      staged.extend_with_secondaries(halo);
+      rep.index_build_seconds += ti.seconds();
+    }
+  };
+
+  if (cfg.overlap == OverlapMode::kSequential) {
+    complete_halo();
     if (n_owned > 0) {
       // The owned galaxies stay the first n_owned entries of the completed
       // partition; snapshot that prefix once and MOVE it into the handle
@@ -167,18 +198,21 @@ core::ZetaResult run_rank_pipeline(Comm& comm, const sim::Catalog& mine,
         owned_only.push_back(part.local.position(i), part.local.w[i]);
       Timer ti;
       staged = engine.build_index(std::move(owned_only));
-      index_seconds += ti.seconds();
+      rep.index_build_seconds += ti.seconds();
     }
+    add_halo_secondaries();
+    comm.set_phase(Phase::kOwnedPass);  // the fused owned+halo traversal
+    Timer teng;
+    local = staged.valid() ? staged.run_indexed(nullptr, &stats)
+                           : engine.empty_result();
+    rep.engine_seconds = teng.seconds();
   } else {
     if (n_owned > 0) {
       Timer ti;
       // Copying overload: complete_halo_exchange will append to (and may
       // reallocate) this buffer, so the handle needs its own.
       staged = engine.build_index(pending.result.local);
-      index_seconds += ti.seconds();
-      halo_hidden_seconds += index_seconds;
-    }
-    if (cfg.overlap == OverlapMode::kTwoPass && staged.valid()) {
+      rep.index_build_seconds += ti.seconds();
       comm.set_phase(Phase::kOwnedPass);
       // Halo copies come from other ranks' domains, which tile space
       // disjointly from ours — so the k-d leaf domain bounds them away
@@ -189,71 +223,25 @@ core::ZetaResult run_rank_pipeline(Comm& comm, const sim::Catalog& mine,
       Timer tp;
       staged.run_owned_pass(nullptr, &stats, [&pending] { pending.poll(); },
                             &bound);
-      owned_pass_seconds = tp.seconds();
-      halo_hidden_seconds += owned_pass_seconds;
-      rep.owned_pass_seconds = owned_pass_seconds;
+      rep.owned_pass_seconds = tp.seconds();
+      rep.halo_hidden_seconds =
+          rep.index_build_seconds + rep.owned_pass_seconds;
     }
-    comm.set_phase(Phase::kHaloComplete);
-    Timer th;
-    part = complete_halo_exchange(pending);
-    halo_seconds = th.seconds();
-    rep.halo_seconds = halo_seconds;
-  }
-  rep.held = part.local.size();
-  rep.index_build_seconds = index_seconds;
-  rep.halo_hidden_seconds = halo_hidden_seconds;
-  rep.halo_bytes_sent = part.traffic.bytes_sent;
-  rep.halo_bytes_recv = part.traffic.bytes_recv;
-  rep.halo_points_shipped = part.traffic.points_shipped;
-  rep.let_cells_sent = part.traffic.cells_sent;
-  rep.let_cells_pruned = part.traffic.cells_pruned;
-
-  // Halo copies act as secondaries only. Under kLet they arrive as pruned
-  // LET cells and the engine unpacks them directly (dropping cells beyond
-  // R_max of this rank's domain); under kFullShell they were appended to
-  // `local` after the owned block.
-  if (cfg.halo.mode == HaloMode::kLet) {
-    std::size_t let_points = 0;
-    for (const tree::LetMessage& m : part.let) let_points += m.point_count();
-    rep.held = n_owned + let_points;
-    if (staged.valid() && let_points > 0) {
-      const core::Engine::SecondaryBound bound{part.domain.lo,
-                                               part.domain.hi};
-      Timer ti;
-      staged.extend_with_let(part.let, bound);
-      index_seconds += ti.seconds();
+    complete_halo();
+    add_halo_secondaries();
+    if (staged.valid()) {
+      comm.set_phase(Phase::kSecondaryPass);
+      Timer tsec;
+      core::EngineStats sec_stats;
+      local = staged.run_secondary_pass(&sec_stats);
+      rep.secondary_pass_seconds = tsec.seconds();
+      stats.pairs += sec_stats.pairs;  // owned + halo = the single-node total
+    } else {
+      local = engine.empty_result();
     }
-  } else if (staged.valid() && part.local.size() > n_owned) {
-    sim::Catalog halo;
-    halo.reserve(part.local.size() - n_owned);
-    for (std::size_t i = n_owned; i < part.local.size(); ++i)
-      halo.push_back(part.local.position(i), part.local.w[i]);
-    Timer ti;
-    staged.extend_with_secondaries(halo);
-    index_seconds += ti.seconds();
-  }
-
-  double engine_seconds = 0.0;
-  core::ZetaResult local;
-  if (cfg.overlap == OverlapMode::kTwoPass && staged.valid()) {
-    comm.set_phase(Phase::kSecondaryPass);
-    Timer tsec;
-    core::EngineStats sec_stats;
-    local = staged.run_secondary_pass(&sec_stats);
-    secondary_pass_seconds = tsec.seconds();
-    stats.pairs += sec_stats.pairs;  // owned + halo = the single-node total
-    engine_seconds = owned_pass_seconds + secondary_pass_seconds;
-  } else {
-    comm.set_phase(Phase::kOwnedPass);  // the fused owned+halo traversal
-    Timer teng;
-    local = staged.valid() ? staged.run_indexed(nullptr, &stats)
-                           : engine.empty_result();
-    engine_seconds = teng.seconds();
+    rep.engine_seconds = rep.owned_pass_seconds + rep.secondary_pass_seconds;
   }
   rep.pairs = stats.pairs;
-  rep.index_build_seconds = index_seconds;
-  rep.engine_seconds = engine_seconds;
-  rep.secondary_pass_seconds = secondary_pass_seconds;
 
   return reduce_across_ranks(comm, engine_cfg, local, stats.pairs, rep);
 }
@@ -310,15 +298,6 @@ core::ZetaResult run_rank(Comm& comm, const sim::Catalog& mine,
     if (report) *report = rep;
     throw;
   }
-}
-
-core::ZetaResult run_rank(Comm& comm, const sim::Catalog& mine,
-                          const core::EngineConfig& engine_cfg,
-                          RankReport* report) {
-  DistRunConfig cfg;
-  cfg.engine = engine_cfg;
-  cfg.ranks = comm.size();
-  return run_rank(comm, mine, cfg, report);
 }
 
 core::ZetaResult run_distributed(const sim::Catalog& catalog,

@@ -13,11 +13,13 @@
 // receives between leaf batches) before blocking on the exchange — the
 // entire O(N·n_nbr) kernel phase hides the halo, not just the index build.
 // The halo copies are then indexed into a secondary structure and
-// run_secondary_pass adds the owned-vs-halo completion exactly. The
-// decomposition is exact — every (primary, secondary) pair is evaluated on
-// exactly one rank — so the reduced result matches the single-node engine
-// up to floating-point summation order (bitwise for one rank, ~1e-13
-// relative for many), under either PartitionPolicy and any OverlapMode.
+// run_secondary_pass adds the owned-vs-halo completion exactly.
+// OverlapMode::kSequential, the A/B baseline, instead drains the exchange
+// first and runs one fused owned+halo traversal. The decomposition is
+// exact — every (primary, secondary) pair is evaluated on exactly one
+// rank — so the reduced result matches the single-node engine up to
+// floating-point summation order (bitwise for one rank, ~1e-13 relative
+// for many), under either PartitionPolicy and either OverlapMode.
 #pragma once
 
 #include <cstdint>
@@ -31,15 +33,14 @@
 namespace galactos::dist {
 
 // How much of the pipeline runs while the halo exchange is in flight —
-// the three-way A/B axis of bench_dist_scaling.
+// the A/B axis of bench_dist_scaling.
 enum class OverlapMode {
   kSequential,  // drain the exchange, then build + traverse (the baseline)
-  kIndexBuild,  // owned-index build hides the halo (the PR-3 pipeline)
   kTwoPass,     // index build + the full owned-vs-owned pass hide the halo,
                 // then a second pass adds owned-vs-halo (the default)
 };
 
-// Stable names for reports/JSON: "sequential" / "index_build" / "two_pass".
+// Stable names for reports/JSON: "sequential" / "two_pass".
 const char* overlap_mode_name(OverlapMode mode);
 
 struct DistRunConfig {
@@ -48,7 +49,7 @@ struct DistRunConfig {
   // What the k-d cuts equalize: raw galaxy counts or estimated pair counts
   // (the Fig. 7 imbalance fix).
   PartitionPolicy partition = PartitionPolicy::kPrimaryBalanced;
-  // What hides the halo exchange (A/B/C measurement axis).
+  // What hides the halo exchange (A/B measurement axis).
   OverlapMode overlap = OverlapMode::kTwoPass;
   // How the halo crosses the wire: flat point shower (kFullShell, the
   // reference) or pruned LET cells (kLet — comm volume scales with the
@@ -81,10 +82,10 @@ struct RankReport {
   double secondary_pass_seconds = 0.0;  // pass 2 (kTwoPass only)
   // Wall time spent computing between post_halo_exchange returning and
   // complete_halo_exchange being entered — the in-flight window filled
-  // with useful work instead of blocking. kSequential: 0. kIndexBuild:
-  // the index build. kTwoPass: index build + owned pass. The overlap
-  // health metric is halo_hidden_seconds / (halo_hidden_seconds +
-  // halo_seconds), gated by tools/check_bench_regression.py.
+  // with useful work instead of blocking. kSequential: 0. kTwoPass: index
+  // build + owned pass. The overlap health metric is halo_hidden_seconds /
+  // (halo_hidden_seconds + halo_seconds), gated by
+  // tools/check_bench_regression.py.
   double halo_hidden_seconds = 0.0;
   double reduce_seconds = 0.0;       // tree allreduce of the result payload
   double total_seconds = 0.0;
@@ -119,11 +120,6 @@ struct RankReport {
 // primaries and returns the tree-reduced result on every rank.
 core::ZetaResult run_rank(Comm& comm, const sim::Catalog& mine,
                           const DistRunConfig& cfg,
-                          RankReport* report = nullptr);
-
-// Back-compat convenience: engine config only, default policy + overlap.
-core::ZetaResult run_rank(Comm& comm, const sim::Catalog& mine,
-                          const core::EngineConfig& engine_cfg,
                           RankReport* report = nullptr);
 
 // End-to-end in-process driver: spawns cfg.ranks minimpi ranks, scatters

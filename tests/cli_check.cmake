@@ -9,6 +9,9 @@
 #     time;
 #   * a negative --threads or --ranks (and, for galactos_dist_main on the
 #     thread transport, --ranks 0) exits 1 with an error naming the flag;
+#   * a choice flag takes one spelling per value: an unknown --halo-mode (and,
+#     for galactos_dist_main, --overlap index or an unknown --policy) exits 1
+#     with an error naming the valid choices;
 #   * galactos --threads 1 --binary writes byte-identical .bin files on two
 #     runs of the same catalog (the bitwise-reproducibility contract that
 #     result comparisons across builds rely on).
@@ -76,6 +79,25 @@ foreach(flag value IN ZIP_LISTS bad_flags bad_values)
     message(FATAL_ERROR
             "${NAME} ${flag} ${value}: exit ${rc}, expected 1 naming ${flag}\n"
             "${out}${err}")
+  endif()
+endforeach()
+
+# Choice flags: the error lists what is accepted.
+set(choice_flags --halo-mode)
+set(choice_values full-shell)
+set(choice_valid "full \\| let")
+if(NAME STREQUAL "galactos_dist_main")
+  list(APPEND choice_flags --overlap --policy)
+  list(APPEND choice_values index bogus)
+  list(APPEND choice_valid "two-pass \\| sequential" "pair \\| primary")
+endif()
+foreach(flag value valid IN ZIP_LISTS choice_flags choice_values choice_valid)
+  run_cli(--input ${cat} --rmin 2 --rmax 8 --nbins 2 --lmax 2 ${flag} ${value}
+          --output cli_check_choice)
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "${flag} must be ${valid}")
+    message(FATAL_ERROR
+            "${NAME} ${flag} ${value}: exit ${rc}, expected 1 naming the "
+            "valid choices\n${out}${err}")
   endif()
 endforeach()
 

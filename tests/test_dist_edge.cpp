@@ -177,8 +177,19 @@ TEST(OctantClusteredRun, DistributedMatchesSingle) {
 // zero owned points (no staged engine at all — they contribute
 // empty_result and skip both passes); a huge R_max relative to rank
 // domains makes every leaf halo-adjacent. Both must stay exact under
-// every overlap mode.
-class OverlapModeEdges : public ::testing::TestWithParam<d::OverlapMode> {};
+// every overlap mode and either halo wire format.
+class OverlapModeEdges
+    : public ::testing::TestWithParam<std::tuple<d::OverlapMode, d::HaloMode>> {
+ protected:
+  d::DistRunConfig dist_config(const c::EngineConfig& ecfg, int ranks) const {
+    d::DistRunConfig dcfg;
+    dcfg.engine = ecfg;
+    dcfg.ranks = ranks;
+    dcfg.overlap = std::get<0>(GetParam());
+    dcfg.halo.mode = std::get<1>(GetParam());
+    return dcfg;
+  }
+};
 
 TEST_P(OverlapModeEdges, ZeroOwnedRanksStayExact) {
   const s::Catalog full = s::uniform_box(5, s::Aabb::cube(8), 95);
@@ -187,10 +198,8 @@ TEST_P(OverlapModeEdges, ZeroOwnedRanksStayExact) {
   ecfg.lmax = 2;
   ecfg.threads = 1;
   const c::ZetaResult single = c::Engine(ecfg).run(full);
-  d::DistRunConfig dcfg;
-  dcfg.engine = ecfg;
-  dcfg.ranks = 8;  // at least 3 ranks own nothing
-  dcfg.overlap = GetParam();
+  const d::DistRunConfig dcfg =
+      dist_config(ecfg, 8);  // at least 3 ranks own nothing
   std::vector<d::RankReport> reports;
   const c::ZetaResult dist = d::run_distributed(full, dcfg, &reports);
   expect_results_match(dist, single, 1e-10, 1e-10);
@@ -216,17 +225,16 @@ TEST_P(OverlapModeEdges, EmptyHaloRanksStayExact) {
   ecfg.lmax = 3;
   ecfg.threads = 1;
   const c::ZetaResult single = c::Engine(ecfg).run(full);
-  d::DistRunConfig dcfg;
-  dcfg.engine = ecfg;
-  dcfg.ranks = 2;
-  dcfg.overlap = GetParam();
+  const d::DistRunConfig dcfg = dist_config(ecfg, 2);
   std::vector<d::RankReport> reports;
   const c::ZetaResult dist = d::run_distributed(full, dcfg, &reports);
   expect_results_match(dist, single, 1e-10, 1e-10);
   for (const auto& r : reports) EXPECT_EQ(r.held, r.owned);  // no halo
 }
 
-INSTANTIATE_TEST_SUITE_P(AllModes, OverlapModeEdges,
-                         ::testing::Values(d::OverlapMode::kSequential,
-                                           d::OverlapMode::kIndexBuild,
-                                           d::OverlapMode::kTwoPass));
+INSTANTIATE_TEST_SUITE_P(
+    AllModes, OverlapModeEdges,
+    ::testing::Combine(::testing::Values(d::OverlapMode::kSequential,
+                                         d::OverlapMode::kTwoPass),
+                       ::testing::Values(d::HaloMode::kFullShell,
+                                         d::HaloMode::kLet)));

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <tuple>
 
 #include "core/engine.hpp"
@@ -87,27 +88,19 @@ TEST_P(DistributedPipeline, MatchesSingleNode) {
   for (const auto& r : reports) {
     EXPECT_GE(r.halo_seconds, 0.0);
     EXPECT_GE(r.index_build_seconds, 0.0);
-    if (r.owned > 0) EXPECT_GT(r.index_build_seconds, 0.0);
-    switch (overlap) {
-      case d::OverlapMode::kSequential:
-        EXPECT_EQ(r.halo_hidden_seconds, 0.0);
-        EXPECT_EQ(r.owned_pass_seconds, 0.0);
-        EXPECT_EQ(r.secondary_pass_seconds, 0.0);
-        break;
-      case d::OverlapMode::kIndexBuild:
-        EXPECT_EQ(r.owned_pass_seconds, 0.0);
-        EXPECT_EQ(r.secondary_pass_seconds, 0.0);
-        if (r.owned > 0) EXPECT_GT(r.halo_hidden_seconds, 0.0);
-        break;
-      case d::OverlapMode::kTwoPass:
-        if (r.owned > 0) {
-          EXPECT_GT(r.owned_pass_seconds, 0.0);
-          EXPECT_GT(r.secondary_pass_seconds, 0.0);
-          EXPECT_GT(r.halo_hidden_seconds, 0.0);
-          EXPECT_NEAR(r.engine_seconds,
-                      r.owned_pass_seconds + r.secondary_pass_seconds, 1e-12);
-        }
-        break;
+    if (r.owned > 0) {
+      EXPECT_GT(r.index_build_seconds, 0.0);
+    }
+    if (overlap == d::OverlapMode::kSequential) {
+      EXPECT_EQ(r.halo_hidden_seconds, 0.0);
+      EXPECT_EQ(r.owned_pass_seconds, 0.0);
+      EXPECT_EQ(r.secondary_pass_seconds, 0.0);
+    } else if (r.owned > 0) {
+      EXPECT_GT(r.owned_pass_seconds, 0.0);
+      EXPECT_GT(r.secondary_pass_seconds, 0.0);
+      EXPECT_GT(r.halo_hidden_seconds, 0.0);
+      EXPECT_NEAR(r.engine_seconds,
+                  r.owned_pass_seconds + r.secondary_pass_seconds, 1e-12);
     }
     max_pairs = std::max(max_pairs, r.pairs);
     sum_pairs += r.pairs;
@@ -128,7 +121,6 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(d::PartitionPolicy::kPrimaryBalanced,
                           d::PartitionPolicy::kPairWeighted),
         ::testing::Values(d::OverlapMode::kSequential,
-                          d::OverlapMode::kIndexBuild,
                           d::OverlapMode::kTwoPass)));
 
 // The per-rank kernel-pair totals are identical whichever overlap depth
@@ -137,8 +129,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(DistributedPipelineModes, PairCountsAgreeAcrossModes) {
   const s::Catalog full = galactos::testing::clumpy_catalog(900, 60.0, 77);
   std::vector<std::vector<std::uint64_t>> per_mode;
-  for (auto mode : {d::OverlapMode::kSequential, d::OverlapMode::kIndexBuild,
-                    d::OverlapMode::kTwoPass}) {
+  for (auto mode : {d::OverlapMode::kSequential, d::OverlapMode::kTwoPass}) {
     d::DistRunConfig dcfg;
     dcfg.engine = base_config();
     dcfg.ranks = 4;
@@ -150,8 +141,80 @@ TEST(DistributedPipelineModes, PairCountsAgreeAcrossModes) {
     per_mode.push_back(std::move(pairs));
   }
   EXPECT_EQ(per_mode[0], per_mode[1]);
-  EXPECT_EQ(per_mode[0], per_mode[2]);
 }
+
+// The engine settings the two-pass split must carry through both passes:
+// each neighbor index and traversal order, mixed precision, the radial
+// line of sight and self-pair subtraction. Every variant, under either
+// overlap mode and either halo wire format, matches the single-node engine
+// run with the same settings.
+struct EngineVariant {
+  const char* name;
+  void (*apply)(c::EngineConfig&);
+};
+
+const EngineVariant kEngineVariants[] = {
+    {"KdTreePerPrimary",
+     [](c::EngineConfig& e) {
+       e.tree.traversal = c::TraversalMode::kPerPrimary;
+     }},
+    {"CellGridLeafBlocked",
+     [](c::EngineConfig& e) { e.tree.index = c::NeighborIndex::kCellGrid; }},
+    {"CellGridPerPrimary",
+     [](c::EngineConfig& e) {
+       e.tree.index = c::NeighborIndex::kCellGrid;
+       e.tree.traversal = c::TraversalMode::kPerPrimary;
+     }},
+    {"MixedPrecision",
+     [](c::EngineConfig& e) { e.tree.precision = c::TreePrecision::kMixed; }},
+    {"RadialLos",
+     [](c::EngineConfig& e) {
+       e.los = c::LineOfSight::kRadial;
+       e.observer = {-100, -100, -100};
+     }},
+    {"SelfPairs", [](c::EngineConfig& e) { e.subtract_self_pairs = true; }},
+};
+
+class DistributedEngineVariants
+    : public ::testing::TestWithParam<
+          std::tuple<EngineVariant, d::OverlapMode, d::HaloMode>> {};
+
+TEST_P(DistributedEngineVariants, MatchesSingleNode) {
+  const auto [variant, overlap, halo] = GetParam();
+  const s::Catalog full = galactos::testing::clumpy_catalog(900, 60.0, 61);
+  c::EngineConfig ecfg = base_config();
+  variant.apply(ecfg);
+  c::EngineStats stats;
+  const c::ZetaResult single = c::Engine(ecfg).run(full, nullptr, &stats);
+
+  d::DistRunConfig dcfg;
+  dcfg.engine = ecfg;
+  dcfg.ranks = 3;
+  dcfg.overlap = overlap;
+  dcfg.halo.mode = halo;
+  std::vector<d::RankReport> reports;
+  const c::ZetaResult dist = d::run_distributed(full, dcfg, &reports);
+  expect_results_match(dist, single, 1e-10, 1e-10);
+
+  std::uint64_t pairs = 0;
+  for (const auto& r : reports) pairs += r.pairs;
+  EXPECT_EQ(pairs, stats.pairs);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, DistributedEngineVariants,
+    ::testing::Combine(::testing::ValuesIn(kEngineVariants),
+                       ::testing::Values(d::OverlapMode::kSequential,
+                                         d::OverlapMode::kTwoPass),
+                       ::testing::Values(d::HaloMode::kFullShell,
+                                         d::HaloMode::kLet)),
+    [](const auto& info) {
+      std::string n = std::get<0>(info.param).name;
+      n += '_';
+      n += d::overlap_mode_name(std::get<1>(info.param));
+      n += std::get<2>(info.param) == d::HaloMode::kLet ? "_let" : "_full";
+      return n;
+    });
 
 TEST(Distributed, ClusteredCatalogNonPowerOfTwo) {
   const s::Catalog full = galactos::testing::clumpy_catalog(900, 60.0, 56);

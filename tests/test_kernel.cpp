@@ -1,5 +1,6 @@
-// The multipole kernel: both SIMD schemes against the scalar oracle, the
-// bucket/accumulator lifecycle, padding, bucket-size and ILP sweeps.
+// The multipole kernel: the running-product SIMD kernel against the scalar
+// oracle, the bucket/accumulator lifecycle, padding, bucket-size and ILP
+// sweeps.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -40,10 +41,10 @@ std::vector<double> reduce_lanes(const std::vector<double>& acc, int nmono) {
 
 }  // namespace
 
-class KernelSchemeTest
+class BucketKernelTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};  // lmax, count
 
-TEST_P(KernelSchemeTest, RunningProductMatchesReference) {
+TEST_P(BucketKernelTest, RunningProductMatchesReference) {
   const auto [lmax, count] = GetParam();
   ASSERT_EQ(count % c::kLanes, 0);
   const int nmono = m::monomial_count(lmax);
@@ -64,26 +65,8 @@ TEST_P(KernelSchemeTest, RunningProductMatchesReference) {
   }
 }
 
-TEST_P(KernelSchemeTest, ZBufferedMatchesReference) {
-  const auto [lmax, count] = GetParam();
-  const int nmono = m::monomial_count(lmax);
-  const PairSet p = random_pairs(count, 2000 + lmax);
-
-  std::vector<double> ref(nmono, 0.0);
-  c::kernel_reference(p.ux.data(), p.uy.data(), p.uz.data(), p.w.data(),
-                      count, lmax, ref.data());
-
-  std::vector<double> acc(static_cast<std::size_t>(nmono) * c::kLanes, 0.0);
-  std::vector<double> scratch(2 * count);
-  c::kernel_zbuffered(p.ux.data(), p.uy.data(), p.uz.data(), p.w.data(),
-                      count, lmax, acc.data(), scratch.data());
-  const std::vector<double> got = reduce_lanes(acc, nmono);
-  for (int t = 0; t < nmono; ++t)
-    EXPECT_NEAR(got[t], ref[t], 1e-11 * (1 + std::abs(ref[t]))) << t;
-}
-
 INSTANTIATE_TEST_SUITE_P(
-    Sweep, KernelSchemeTest,
+    Sweep, BucketKernelTest,
     ::testing::Combine(::testing::Values(0, 1, 2, 3, 5, 10),
                        ::testing::Values(8, 32, 128, 256)));
 
@@ -110,13 +93,12 @@ TEST(Kernel, ZeroWeightPairsContributeNothing) {
     EXPECT_NEAR(got[t], ref[t], 1e-12 * (1 + std::abs(ref[t])));
 }
 
-class AccumulatorTest : public ::testing::TestWithParam<
-                            std::tuple<c::KernelScheme, int, int>> {};
-// scheme, bucket_capacity, ilp
+class AccumulatorTest
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+// lmax, bucket_capacity, ilp
 
 TEST_P(AccumulatorTest, MatchesReferenceAcrossBinsAndPrimaries) {
-  const auto [scheme, capacity, ilp] = GetParam();
-  const int lmax = 4;
+  const auto [lmax, capacity, ilp] = GetParam();
   const int nbins = 5;
   const int nmono = m::monomial_count(lmax);
 
@@ -124,7 +106,6 @@ TEST_P(AccumulatorTest, MatchesReferenceAcrossBinsAndPrimaries) {
   cfg.lmax = lmax;
   cfg.nbins = nbins;
   cfg.bucket_capacity = capacity;
-  cfg.scheme = scheme;
   cfg.ilp = ilp;
   c::MultipoleAccumulator acc(cfg);
 
@@ -166,10 +147,9 @@ TEST_P(AccumulatorTest, MatchesReferenceAcrossBinsAndPrimaries) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, AccumulatorTest,
-    ::testing::Combine(::testing::Values(c::KernelScheme::kRunningProduct,
-                                         c::KernelScheme::kZBuffered),
+    ::testing::Combine(::testing::Values(4, 10),
                        ::testing::Values(8, 64, 128, 256),
-                       ::testing::Values(1, 4)));
+                       ::testing::Values(1, 2, 4)));
 
 TEST(Accumulator, StartPrimaryResetsState) {
   c::KernelConfig cfg;

@@ -167,21 +167,15 @@ TEST(KernelIsaEquivalence, PowerSumsBitwiseAcrossLevelsLmaxSweep) {
     cfg.lmax = lmax;
     cfg.nbins = 3;
     cfg.bucket_capacity = 32;  // small buckets -> many flushes + ragged tail
-    for (c::KernelScheme scheme :
-         {c::KernelScheme::kRunningProduct, c::KernelScheme::kZBuffered}) {
-      cfg.scheme = scheme;
-      // 157 points: ragged across bins AND lanes; 25 zero-weight entries.
-      const PairSet p = random_pairs(157, 25, 7000 + lmax);
-      const std::vector<double> ref =
-          sums_at(c::KernelIsa::kScalar, cfg, p);
-      for (c::KernelIsa isa : levels) {
-        const std::vector<double> got = sums_at(isa, cfg, p);
-        ASSERT_EQ(got.size(), ref.size());
-        for (std::size_t i = 0; i < ref.size(); ++i)
-          ASSERT_EQ(got[i], ref[i])
-              << "lmax=" << lmax << " scheme=" << static_cast<int>(scheme)
-              << " isa=" << c::kernel_isa_name(isa) << " term=" << i;
-      }
+    // 157 points: ragged across bins AND lanes; 25 zero-weight entries.
+    const PairSet p = random_pairs(157, 25, 7000 + lmax);
+    const std::vector<double> ref = sums_at(c::KernelIsa::kScalar, cfg, p);
+    for (c::KernelIsa isa : levels) {
+      const std::vector<double> got = sums_at(isa, cfg, p);
+      ASSERT_EQ(got.size(), ref.size());
+      for (std::size_t i = 0; i < ref.size(); ++i)
+        ASSERT_EQ(got[i], ref[i]) << "lmax=" << lmax << " isa="
+                                  << c::kernel_isa_name(isa) << " term=" << i;
     }
   }
 }
@@ -208,18 +202,6 @@ TEST(KernelIsaEquivalence, RawKernelsBitwiseAcrossLevels) {
         ASSERT_EQ(got[i], ref[i]) << "running_product ilp=" << ilp << " isa="
                                   << c::kernel_isa_name(isa) << " i=" << i;
     }
-    c::set_kernel_isa(c::KernelIsa::kScalar);
-    std::vector<double> zs(2 * count);
-    std::vector<double> ref(static_cast<std::size_t>(nmono) * c::kLanes, 0.0);
-    c::kernel_zbuffered(p.ux.data(), p.uy.data(), p.uz.data(), p.w.data(),
-                        count, lmax, ref.data(), zs.data());
-    c::set_kernel_isa(isa);
-    std::vector<double> got(ref.size(), 0.0);
-    c::kernel_zbuffered(p.ux.data(), p.uy.data(), p.uz.data(), p.w.data(),
-                        count, lmax, got.data(), zs.data());
-    for (std::size_t i = 0; i < ref.size(); ++i)
-      ASSERT_EQ(got[i], ref[i])
-          << "zbuffered isa=" << c::kernel_isa_name(isa) << " i=" << i;
   }
 }
 

@@ -309,11 +309,10 @@ TEST_P(LetPipeline, MatchesFullShell) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, LetPipeline,
     ::testing::Combine(
-        ::testing::Values(1, 2, 4, 8),
+        ::testing::Values(1, 2, 3, 4, 8),
         ::testing::Values(d::PartitionPolicy::kPrimaryBalanced,
                           d::PartitionPolicy::kPairWeighted),
         ::testing::Values(d::OverlapMode::kSequential,
-                          d::OverlapMode::kIndexBuild,
                           d::OverlapMode::kTwoPass)));
 
 TEST(LetPipelineEdge, SingleRankIsBitwiseFullShell) {

@@ -53,8 +53,11 @@ TEST(Legendre, CoefficientsEvaluateToPolynomial) {
 TEST(Legendre, CoefficientsHaveCorrectParity) {
   for (int l = 0; l <= 12; ++l) {
     const std::vector<double> c = m::legendre_coeffs(l);
-    for (int k = 0; k <= l; ++k)
-      if ((l - k) % 2 == 1) EXPECT_EQ(c[k], 0.0) << "l=" << l << " k=" << k;
+    for (int k = 0; k <= l; ++k) {
+      if ((l - k) % 2 == 1) {
+        EXPECT_EQ(c[k], 0.0) << "l=" << l << " k=" << k;
+      }
+    }
   }
 }
 

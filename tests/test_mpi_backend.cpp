@@ -164,9 +164,8 @@ TEST(MpiBackend, PolicyAndOverlapSweepMatchesMinimpi) {
   const s::Catalog cat = s::uniform_box(700, s::Aabb::cube(55), 654);
   for (auto policy : {d::PartitionPolicy::kPrimaryBalanced,
                       d::PartitionPolicy::kPairWeighted}) {
-    for (auto overlap : {d::OverlapMode::kSequential,
-                         d::OverlapMode::kIndexBuild,
-                         d::OverlapMode::kTwoPass}) {
+    for (auto overlap :
+         {d::OverlapMode::kSequential, d::OverlapMode::kTwoPass}) {
       d::DistRunConfig cfg;
       cfg.engine = small_config();
       cfg.ranks = session().size();

@@ -68,10 +68,12 @@ void check_core_invariants(const s::Catalog& full,
     for (std::size_t i = 0; i < r.local.size(); ++i) {
       if (!r.owned[i]) continue;
       const s::Vec3 p = r.local.position(i);
-      for (std::size_t j = 0; j < full.size(); ++j)
-        if ((full.position(j) - p).norm2() <= rmax * rmax)
+      for (std::size_t j = 0; j < full.size(); ++j) {
+        if ((full.position(j) - p).norm2() <= rmax * rmax) {
           EXPECT_TRUE(present.count({full.x[j], full.y[j], full.z[j]}))
               << "missing neighbor";
+        }
+      }
     }
   }
 }
@@ -106,9 +108,11 @@ TEST_P(PartitionInvariants, OwnedGalaxiesInsideDomain) {
   const s::Catalog full = s::uniform_box(3000, s::Aabb::cube(80), 78);
   const auto out = run_partition(full, nranks, 10.0);
   for (const auto& r : out.results)
-    for (std::size_t i = 0; i < r.local.size(); ++i)
-      if (r.owned[i])
+    for (std::size_t i = 0; i < r.local.size(); ++i) {
+      if (r.owned[i]) {
         EXPECT_TRUE(r.domain.contains_closed(r.local.position(i)));
+      }
+    }
 }
 
 TEST_P(PartitionInvariants, LoadBalanceProportional) {
@@ -141,9 +145,10 @@ TEST_P(PartitionInvariants, HaloCompleteness) {
       const s::Vec3 p = r.local.position(i);
       for (std::size_t j = 0; j < full.size(); ++j) {
         const double d2 = (full.position(j) - p).norm2();
-        if (d2 <= rmax * rmax)
+        if (d2 <= rmax * rmax) {
           EXPECT_TRUE(present.count(key(full.x[j], full.y[j], full.z[j])))
               << "rank missing neighbor at distance " << std::sqrt(d2);
+        }
       }
     }
   }

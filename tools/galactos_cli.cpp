@@ -1,9 +1,9 @@
 // galactos — command-line 3PCF runner for catalog files.
 //
-//   galactos --input catalog.txt --rmin 20 --rmax 200 --nbins 10 --lmax 10 \
-//            [--randoms randoms.txt] [--periodic-box 3000] [--radial-los] \
-//            [--observer-x 0 --observer-y 0 --observer-z 0] \
-//            [--ranks 4] [--threads 0] [--double-precision] \
+//   galactos --input catalog.txt --rmin 20 --rmax 200 --nbins 10 --lmax 10
+//            [--randoms randoms.txt] [--periodic-box 3000] [--radial-los]
+//            [--observer-x 0 --observer-y 0 --observer-z 0]
+//            [--ranks 4] [--threads 0] [--double-precision]
 //            [--subtract-self] [--output zeta] [--binary] [--help]
 //
 // Input: text (x y z [w], '#' comments, commas allowed) or the GLXCAT01
@@ -128,9 +128,8 @@ int run(int argc, char** argv) {
   if (halo_arg == "let") {
     halo.mode = dist::HaloMode::kLet;
   } else {
-    GLX_CHECK_MSG(halo_arg == "full" || halo_arg == "full-shell",
-                  "--halo-mode must be full | let (got '" << halo_arg
-                                                          << "')");
+    GLX_CHECK_MSG(halo_arg == "full", "--halo-mode must be full | let (got '"
+                                          << halo_arg << "')");
   }
 
   cfg.backend = core::backend_from_name(backend);

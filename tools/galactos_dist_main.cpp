@@ -47,7 +47,7 @@ constexpr const char* kUsage =
     "  [--rmin rmax/nbins] [--rmax 16] [--nbins 10] [--lmax 10]\n"
     "  [--ranks 4 (threads) | mpirun world (MPI)] [--threads 1]\n"
     "  [--timeout-s 0] [--policy pair|primary]\n"
-    "  [--overlap two-pass|index|sequential] [--halo-mode full|let]\n"
+    "  [--overlap two-pass|sequential] [--halo-mode full|let]\n"
     "  [--let-f32] [--backend tree|fft] [--grid-n 128]\n"
     "  [--assignment ngp|cic|tsc] [--interlace 0|1]\n"
     "  [--periodic-box <side>] [--output <prefix>] [--json <file>] [--help]\n";
@@ -76,11 +76,8 @@ int run_with_session(dist::Session& session, int argc, char** argv) {
   const int ranks_arg = args.get<int>(
       "ranks", session.backend() == dist::Backend::kMpi ? 0 : 4);
   const std::string policy = args.get_str("policy", "pair");
-  // Overlap depth: two-pass (default) | index | sequential. --sequential
-  // is kept as a back-compat alias for --overlap sequential.
-  const std::string overlap_arg =
-      args.get_str("overlap", args.flag("sequential") ? "sequential"
-                                                      : "two-pass");
+  // Overlap depth: two-pass (default) | sequential.
+  const std::string overlap_arg = args.get_str("overlap", "two-pass");
   // Halo wire format: full (flat point shower, the reference) | let
   // (pruned locally-essential tree — comm volume scales with the domain
   // boundary). --let-f32 additionally quantizes LET coordinates to float32
@@ -134,22 +131,23 @@ int run_with_session(dist::Session& session, int argc, char** argv) {
   cfg.engine.tree.precision = core::TreePrecision::kMixed;
   cfg.ranks = ranks_arg;
   cfg.timeout_s = timeout_s;
-  cfg.partition = policy == "primary"
-                      ? dist::PartitionPolicy::kPrimaryBalanced
-                      : dist::PartitionPolicy::kPairWeighted;
+  if (policy == "primary") {
+    cfg.partition = dist::PartitionPolicy::kPrimaryBalanced;
+  } else if (policy == "pair") {
+    cfg.partition = dist::PartitionPolicy::kPairWeighted;
+  } else {
+    throw std::runtime_error("--policy must be pair | primary (got '" +
+                             policy + "')");
+  }
   if (overlap_arg == "sequential") {
     cfg.overlap = dist::OverlapMode::kSequential;
-  } else if (overlap_arg == "index" || overlap_arg == "index-build") {
-    cfg.overlap = dist::OverlapMode::kIndexBuild;
-  } else if (overlap_arg == "two-pass" || overlap_arg == "two_pass") {
-    cfg.overlap = dist::OverlapMode::kTwoPass;
-  } else {
-    throw std::runtime_error("--overlap must be sequential | index | "
-                             "two-pass (got '" + overlap_arg + "')");
+  } else if (overlap_arg != "two-pass") {
+    throw std::runtime_error("--overlap must be two-pass | sequential (got '" +
+                             overlap_arg + "')");
   }
   if (halo_arg == "let") {
     cfg.halo.mode = dist::HaloMode::kLet;
-  } else if (halo_arg != "full" && halo_arg != "full-shell") {
+  } else if (halo_arg != "full") {
     throw std::runtime_error("--halo-mode must be full | let (got '" +
                              halo_arg + "')");
   }
