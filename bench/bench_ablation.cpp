@@ -12,7 +12,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "util/argparse.hpp"
 
 using namespace galactos;
 using namespace galactos::bench;
@@ -38,7 +37,7 @@ double run_best(const core::EngineConfig& cfg, const sim::Catalog& cat) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ArgParser args(argc, argv);
+  BenchArgs args(argc, argv);
   const std::size_t n = args.get<std::size_t>("n", 60000);
   const double rmax = args.get<double>("rmax", 14.0);
   args.finish();

@@ -12,13 +12,12 @@
 #include "baseline/brute3pcf.hpp"
 #include "bench_util.hpp"
 #include "math/stats.hpp"
-#include "util/argparse.hpp"
 
 using namespace galactos;
 using namespace galactos::bench;
 
 int main(int argc, char** argv) {
-  ArgParser args(argc, argv);
+  BenchArgs args(argc, argv);
   const int steps = args.get<int>("steps", 4);
   args.finish();
 

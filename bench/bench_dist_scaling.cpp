@@ -37,7 +37,6 @@
 
 #include "bench_util.hpp"
 #include "dist/runner.hpp"
-#include "util/argparse.hpp"
 
 using namespace galactos;
 using namespace galactos::bench;
@@ -49,8 +48,8 @@ namespace {
 // Coordinates are snapped to float32-representable values (the precision
 // real survey catalogs are published at): the engine runs kMixed anyway,
 // and it makes the LET f32 wire format bit-lossless on this catalog, so
-// the halo-compression A/B compares identical results, not quantization
-// noise.
+// the halo-compression check against the single-node engine measures
+// summation order, not quantization noise.
 sim::Catalog clustered_catalog(std::size_t n, double side) {
   sim::Catalog cat = sim::uniform_box(
       n / 2, sim::Aabb{{0, 0, 0}, {side / 8, side / 8, side / 8}}, 404);
@@ -139,69 +138,60 @@ JsonObject summary_json(const RunSummary& s) {
   return o;
 }
 
-// Paired full-shell vs LET run at one (ranks, policy) point: comm volume
-// for both wire formats plus the worst relative zeta deviation between
-// them. The LET leg ships float32 coordinate planes — lossless here
-// because the engine runs TreePrecision::kMixed, whose stored coordinate
-// planes are float either way.
+// Halo comm volume at one (ranks, policy) point. The LET run ships
+// float32 coordinate planes — lossless here because the catalog is
+// f32-snapped and the engine runs TreePrecision::kMixed, whose stored
+// planes are float either way. The §3.3 flat shell would ship the same
+// point set as four doubles each, so its bytes are derived, not run.
 struct HaloCompression {
   int ranks = 0;
   std::string policy;
-  std::uint64_t full_shell_bytes = 0;
+  std::uint64_t full_shell_bytes = 0;  // 32 x let_points_shipped
   std::uint64_t let_bytes = 0;
-  std::uint64_t full_points_shipped = 0;
   std::uint64_t let_points_shipped = 0;
   std::uint64_t let_cells_sent = 0;
   std::uint64_t let_cells_pruned = 0;
   double ratio = 0;               // let_bytes / full_shell_bytes
-  // Worst payload deviation normalized by the payload's max magnitude:
-  // max_i |a_i - b_i| / ||a||_inf. Summation-reorder round-off (the two
-  // wire formats unpack the identical point set in different orders)
-  // lands at ~1e-15; a single flipped pair in any bin shows at ~1e-7 —
-  // so the 1e-10 gate separates the two regimes by three decades either
-  // way. A raw elementwise relative diff would explode on near-zero
-  // zeta elements and gate nothing but cancellation noise.
+  // Worst payload deviation from the single-node engine, normalized by the
+  // payload's max magnitude: max_i |a_i - b_i| / ||a||_inf. Summation-
+  // reorder round-off lands at ~1e-15; a single flipped pair in any bin
+  // shows at ~1e-7 — so the 1e-10 gate separates the two regimes by three
+  // decades either way. A raw elementwise relative diff would explode on
+  // near-zero zeta elements and gate nothing but cancellation noise.
   double zeta_max_rel_diff = 0;
 };
 
-HaloCompression halo_compression_ab(const dist::Session& session,
-                                    const sim::Catalog& cat,
-                                    const core::EngineConfig& ecfg, int ranks,
-                                    dist::PartitionPolicy policy) {
-  dist::DistRunConfig full_cfg;
-  full_cfg.engine = ecfg;
-  full_cfg.ranks = ranks;
-  full_cfg.partition = policy;
-  dist::DistRunConfig let_cfg = full_cfg;
-  let_cfg.halo.mode = dist::HaloMode::kLet;
-  let_cfg.halo.let_f32 = true;
+HaloCompression halo_compression(const dist::Session& session,
+                                 const sim::Catalog& cat,
+                                 const core::EngineConfig& ecfg, int ranks,
+                                 dist::PartitionPolicy policy,
+                                 const std::vector<double>& single_payload) {
+  dist::DistRunConfig cfg;
+  cfg.engine = ecfg;
+  cfg.ranks = ranks;
+  cfg.partition = policy;
+  cfg.halo.let_f32 = true;
 
-  std::vector<dist::RankReport> full_reports, let_reports;
-  const core::ZetaResult a =
-      dist::run_distributed(session, cat, full_cfg, &full_reports);
-  const core::ZetaResult b =
-      dist::run_distributed(session, cat, let_cfg, &let_reports);
+  std::vector<dist::RankReport> reports;
+  const core::ZetaResult b = dist::run_distributed(session, cat, cfg, &reports);
 
   HaloCompression h;
   h.ranks = ranks;
   h.policy = policy == dist::PartitionPolicy::kPairWeighted
                  ? "pair_weighted"
                  : "primary_balanced";
-  for (const auto& r : full_reports) {
-    h.full_shell_bytes += r.halo_bytes_sent;
-    h.full_points_shipped += r.halo_points_shipped;
-  }
-  for (const auto& r : let_reports) {
+  for (const auto& r : reports) {
     h.let_bytes += r.halo_bytes_sent;
     h.let_points_shipped += r.halo_points_shipped;
     h.let_cells_sent += r.let_cells_sent;
     h.let_cells_pruned += r.let_cells_pruned;
   }
+  h.full_shell_bytes = 4 * sizeof(double) * h.let_points_shipped;
   h.ratio = h.full_shell_bytes
                 ? static_cast<double>(h.let_bytes) /
                       static_cast<double>(h.full_shell_bytes)
                 : 0.0;
-  const std::vector<double> pa = a.reduce_payload();
+  const std::vector<double>& pa = single_payload;
   const std::vector<double> pb = b.reduce_payload();
   double norm = 0.0;
   for (double v : pa) norm = std::max(norm, std::abs(v));
@@ -268,7 +258,7 @@ double median(std::vector<double> v) {
 
 int main(int argc, char** argv) {
   dist::Session session = dist::init(&argc, &argv);
-  ArgParser args(argc, argv);
+  BenchArgs args(argc, argv);
   const std::size_t n = args.get<std::size_t>("n", 40000);
   const double rmax = args.get<double>("rmax", 12.0);
   const double side = args.get<double>("side", 220.0);
@@ -343,18 +333,24 @@ int main(int argc, char** argv) {
     print_kv("pair imbalance, pair-weighted", fmt(wgt->pair_imbalance));
   }
 
-  // --- Section 1b: halo compression — full-shell vs LET at max ranks -----
-  // The comm-volume claim this repo gates: pruned LET exchange (f32 coord
-  // planes, safe at kMixed) must move at most half the full-shell bytes at
-  // the widest decomposition, with zeta inside the distributed 1e-10 gate.
+  // --- Section 1b: halo compression at max ranks ------------------------
+  // The comm-volume claim this repo gates: the pruned LET exchange (f32
+  // coord planes, safe at kMixed) must move at most half the bytes of the
+  // §3.3 flat shell at the widest decomposition, with zeta inside the
+  // distributed 1e-10 gate of the single-node engine.
   std::vector<HaloCompression> halo_results;
   if (max_ranks >= 2) {
+    // Only the root reports the diff; the other MPI processes skip the
+    // single-node solve.
+    const std::vector<double> single =
+        root ? core::Engine(ecfg).run(cat).reduce_payload()
+             : std::vector<double>{};
     for (auto policy : {dist::PartitionPolicy::kPrimaryBalanced,
                         dist::PartitionPolicy::kPairWeighted})
       halo_results.push_back(
-          halo_compression_ab(session, cat, ecfg, max_ranks, policy));
+          halo_compression(session, cat, ecfg, max_ranks, policy, single));
     if (root) {
-      print_header("Halo compression — full-shell vs LET");
+      print_header("Halo compression — LET vs the flat shell (32 B/point)");
       Table ht({"policy", "full-shell (B)", "LET (B)", "ratio",
                 "points shipped", "cells pruned", "zeta rel diff"});
       for (const auto& h : halo_results)
@@ -479,7 +475,6 @@ int main(int argc, char** argv) {
             .add("full_shell_bytes", h.full_shell_bytes)
             .add("let_bytes", h.let_bytes)
             .add("ratio", h.ratio)
-            .add("full_points_shipped", h.full_points_shipped)
             .add("let_points_shipped", h.let_points_shipped)
             .add("let_cells_sent", h.let_cells_sent)
             .add("let_cells_pruned", h.let_cells_pruned)

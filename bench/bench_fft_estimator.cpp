@@ -26,7 +26,6 @@
 #include "math/fft.hpp"
 #include "math/rng.hpp"
 #include "mocks/lognormal.hpp"
-#include "util/argparse.hpp"
 
 using namespace galactos;
 using namespace galactos::bench;
@@ -67,7 +66,7 @@ double median_fft_3d_seconds(std::size_t n, int reps) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ArgParser args(argc, argv);
+  BenchArgs args(argc, argv);
   const double box = args.get<double>("box", 200.0);
   const double nbar = args.get<double>("nbar", 6e-4);
   const double rmin = args.get<double>("rmin", 55.0);

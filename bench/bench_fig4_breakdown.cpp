@@ -15,7 +15,6 @@
 #include "bench_util.hpp"
 #include "core/kernel.hpp"
 #include "math/rng.hpp"
-#include "util/argparse.hpp"
 #include "util/timer.hpp"
 
 using namespace galactos;
@@ -58,7 +57,7 @@ double measure_kernel_gflops(int lmax) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ArgParser args(argc, argv);
+  BenchArgs args(argc, argv);
   const std::size_t n = args.get<std::size_t>("n", 120000);
   const double rmax = args.get<double>("rmax", 24.0);
   const int threads = args.get<int>("threads", 0);

@@ -11,13 +11,12 @@
 #include <thread>
 
 #include "bench_util.hpp"
-#include "util/argparse.hpp"
 
 using namespace galactos;
 using namespace galactos::bench;
 
 int main(int argc, char** argv) {
-  ArgParser args(argc, argv);
+  BenchArgs args(argc, argv);
   const std::size_t n = args.get<std::size_t>("n", 40000);
   const double rmax = args.get<double>("rmax", 16.0);
   args.finish();

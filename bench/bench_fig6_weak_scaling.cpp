@@ -15,14 +15,13 @@
 #include "bench_util.hpp"
 #include "dist/runner.hpp"
 #include "math/stats.hpp"
-#include "util/argparse.hpp"
 
 using namespace galactos;
 using namespace galactos::bench;
 
 int main(int argc, char** argv) {
   dist::Session session = dist::init(&argc, &argv);
-  ArgParser args(argc, argv);
+  BenchArgs args(argc, argv);
   const std::size_t per_rank = args.get<std::size_t>("per-rank", 20000);
   const double rmax = args.get<double>("rmax", 14.0);
   int max_ranks = args.get<int>("max-ranks", 8);

@@ -10,12 +10,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "sim/generators.hpp"
+#include "util/argparse.hpp"
 #include "util/timer.hpp"
 
 namespace galactos::bench {
@@ -146,6 +148,71 @@ inline void write_json_file(const std::string& path,
   }
   std::printf("  wrote %s\n", path.c_str());
 }
+
+// Command line of a bench main: ArgParser with the CLIs' contract. Every
+// option the bench reads is recorded with its default, so the usage line
+// cannot drift from the code. finish() prints that usage and exits 0 on
+// --help; a malformed, unknown or badly-valued option prints "error: ..."
+// plus the usage on stderr and exits 1 instead of escaping main.
+class BenchArgs {
+ public:
+  BenchArgs(int argc, char** argv) {
+    const std::string path = argc > 0 ? argv[0] : "bench";
+    usage_ = "usage: " + path.substr(path.find_last_of('/') + 1);
+    try {
+      args_.emplace(argc, argv);
+    } catch (const std::exception& e) {
+      error_ = e.what();
+    }
+  }
+
+  template <typename T>
+  T get(const std::string& name, T def) {
+    std::ostringstream os;
+    os << def;
+    usage_ += " [--" + name + " " + os.str() + "]";
+    if (!args_) return def;
+    try {
+      return args_->get<T>(name, def);
+    } catch (const std::exception& e) {
+      if (error_.empty()) error_ = e.what();
+      return def;
+    }
+  }
+
+  std::string get_str(const std::string& name, const std::string& def) {
+    usage_ += " [--" + name + " " + (def.empty() ? "<value>" : def) + "]";
+    return args_ ? args_->get_str(name, def) : def;
+  }
+
+  bool flag(const std::string& name) {
+    usage_ += " [--" + name + "]";
+    return args_ && args_->flag(name);
+  }
+
+  void finish() {
+    if (args_ && args_->flag("help")) {
+      std::printf("%s [--help]\n", usage_.c_str());
+      std::exit(0);
+    }
+    if (error_.empty() && args_) {
+      try {
+        args_->finish();
+      } catch (const std::exception& e) {
+        error_ = e.what();
+      }
+    }
+    if (error_.empty()) return;
+    std::fprintf(stderr, "error: %s\n%s [--help]\n", error_.c_str(),
+                 usage_.c_str());
+    std::exit(1);
+  }
+
+ private:
+  std::optional<ArgParser> args_;
+  std::string usage_;
+  std::string error_;  // the first parse error, reported by finish()
+};
 
 // Simple aligned table printer.
 class Table {

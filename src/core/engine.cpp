@@ -14,7 +14,6 @@
 #include "core/twopcf.hpp"
 #include "tree/cellgrid.hpp"
 #include "tree/kdtree.hpp"
-#include "tree/let.hpp"
 #include "util/aligned.hpp"
 
 namespace galactos::core {
@@ -1056,25 +1055,6 @@ void Engine::Staged::extend_with_secondaries(const sim::Catalog& halo) {
   if (halo.empty()) return;
   Timer t;
   impl_->extend(halo);
-  impl_->build_seconds += t.seconds();
-}
-
-void Engine::Staged::extend_with_let(const std::vector<tree::LetMessage>& msgs,
-                                     const SecondaryBound& bound) {
-  GLX_CHECK_MSG(impl_ != nullptr, "extend_with_let on an empty Staged handle");
-  GLX_CHECK_MSG(!impl_->has_secondary(), "extend_with_let called twice");
-  Timer t;
-  // Receiver-side pruning tier: drop whole cells beyond R_max of this
-  // rank's domain before the secondary build ever sees their points. The
-  // senders already pruned per point against the same box, so in the
-  // two-rank exchange this usually keeps everything — it pays off when a
-  // sender's conservative leaf AABBs straddle the reach boundary.
-  sim::Aabb target{bound.lo, bound.hi};
-  const double rmax = impl_->cfg.bins.rmax();
-  sim::Catalog halo;
-  for (const tree::LetMessage& m : msgs)
-    tree::append_let_to_catalog(m, target, rmax, halo);
-  if (!halo.empty()) impl_->extend(halo);
   impl_->build_seconds += t.seconds();
 }
 

@@ -60,10 +60,6 @@
 #include "sim/catalog.hpp"
 #include "util/timer.hpp"
 
-namespace galactos::tree {
-struct LetMessage;  // tree/let.hpp — pruned-LET halo payload
-}  // namespace galactos::tree
-
 namespace galactos::core {
 
 namespace detail {
@@ -194,15 +190,6 @@ class Engine {
     // once; an empty halo is a no-op.
     void extend_with_secondaries(const sim::Catalog& halo);
 
-    // LET variant (dist HaloMode::kLet): unpacks received per-peer LET
-    // messages straight into the secondary index, skipping whole cells
-    // whose AABB lies beyond R_max of `bound` (this rank's domain) — the
-    // receiver-side pruning tier. Same at-most-once contract as
-    // extend_with_secondaries; messages with no in-reach cells are a
-    // no-op.
-    void extend_with_let(const std::vector<tree::LetMessage>& msgs,
-                         const SecondaryBound& bound);
-
     // Runs the traversal over the prebuilt indexes. `primaries` indexes
     // into the owned catalog passed to build_index (same contract as
     // Engine::run: no duplicates, all owned points act as primaries when
@@ -263,8 +250,7 @@ class Engine {
   Staged build_index(const sim::Catalog& owned) const;
 
   // Move overload: adopts `owned` as the handle's storage instead of
-  // copying it — the sequential distributed path snapshots the owned prefix
-  // once and hands it over, instead of copy + internal re-copy.
+  // copying it — the distributed runner hands over its owned catalog.
   Staged build_index(sim::Catalog&& owned) const;
 
   // Computes the anisotropic 3PCF of `catalog`. If `primaries` is given,

@@ -23,7 +23,8 @@ void TwoPcfAccumulator::add_primary_bin(double wp, int bin, const double* S,
   GLX_DCHECK(bin >= 0 && bin < nbins_);
   // Gather the pure-z sums S[0,0,c].
   double sz[32];
-  for (int c = 0; c <= lmax_; ++c) sz[c] = S[mono.index(0, 0, c)];
+  sz[0] = S[mono.index(0, 0, 0)];  // lmax_ >= 0 (ctor check)
+  for (int c = 1; c <= lmax_; ++c) sz[c] = S[mono.index(0, 0, c)];
   counts_[bin] += wp * sz[0];
   for (int l = 0; l <= lmax_; ++l) {
     double v = 0.0;

@@ -20,10 +20,18 @@
 //     ALL secondaries of its owned primaries (§3.3: halo copies are
 //     secondaries only; they are never primaries anywhere but home).
 //
+// The halo crosses the wire as a pruned locally essential tree (LET,
+// tree/let.hpp): each rank walks its owned KdTree against every peer's
+// domain box and ships only the leaf cells that can reach it (AABB +
+// packed points). The shipped point SET is exactly the §3.3 shell, at
+// ~0.4x its bytes; complete_halo_exchange() decodes the cells (skipping
+// any whose AABB lies beyond R_max of this rank's domain) into a plain
+// halo catalog, so nothing downstream sees the wire format.
+//
 // The halo exchange is split-phase: post_halo_exchange() returns with every
 // send buffered and every receive posted, so the caller can build its
 // owned-point spatial index while halo traffic is in flight and only then
-// complete_halo_exchange() to append the halo copies (dist/runner.cpp
+// complete_halo_exchange() to decode the halo copies (dist/runner.cpp
 // overlaps exactly this way). kd_partition() is the fused convenience call.
 // Halo copies enter the engine as a SECONDARY index built through the same
 // Morton-ordered, SIMD-padded layout as the owned index (core/engine.cpp
@@ -46,7 +54,6 @@
 #include "dist/comm.hpp"
 #include "sim/box.hpp"
 #include "sim/catalog.hpp"
-#include "tree/let.hpp"
 
 namespace galactos::dist {
 
@@ -56,87 +63,51 @@ enum class PartitionPolicy {
   kPairWeighted,     // estimated pair counts (local density weighting)
 };
 
-// How halo completeness is achieved after the cuts.
-enum class HaloMode {
-  // Flat point shower: every owned galaxy within R_max of a peer's domain
-  // is shipped as a raw (x, y, z, w) double quadruple — the paper's §3.3
-  // exchange, bitwise-stable reference path.
-  kFullShell,
-  // Pruned locally-essential tree (Warren–Salmon LET): walk the owned
-  // KdTree against each peer's domain box and ship only surviving leaf
-  // cells (AABB + packed points), delta-encoded; comm volume scales with
-  // the domain *boundary* instead of the halo shell's raw point count.
-  // The shipped point set is identical to kFullShell (same reach
-  // criterion, double coordinates), so results match to round-off of the
-  // receiver's secondary build; lossless (f64) unless `let_f32` is set.
-  kLet,
-};
-
-inline const char* halo_mode_name(HaloMode m) {
-  return m == HaloMode::kLet ? "let" : "full-shell";
-}
+// The one halo wire format. The enum and HaloOptions::mode exist only
+// because perfbench/src/main.cpp assigns `dcfg.halo.mode =
+// dist::HaloMode::kLet`; nothing in the library reads them.
+enum class HaloMode { kLet };
 
 struct HaloOptions {
-  HaloMode mode = HaloMode::kFullShell;
-  // kLet only: quantize coordinates + AABBs to float32 on the wire (3x
-  // smaller payloads). OFF by default so the default exchange is bitwise
-  // lossless; safe whenever the engine's tree precision is kMixed (the
-  // stored planes are float anyway, so the float-valued coordinates
-  // survive the cast exactly).
+  HaloMode mode = HaloMode::kLet;
+  // Quantize LET coordinates + AABBs to float32 on the wire (3x smaller
+  // payloads). OFF by default so the default exchange is bitwise lossless;
+  // safe whenever the engine's tree precision is kMixed (the stored planes
+  // are float anyway, so the float-valued coordinates survive the cast
+  // exactly).
   bool let_f32 = false;
 };
 
 // Comm-volume counters for one rank's halo exchange (RankReport / bench).
-// Bytes are payload bytes as handed to / taken from the comm layer
-// (pre-framing), so full-shell and LET are directly comparable.
+// Bytes are LET payload bytes as handed to / taken from the comm layer
+// (pre-framing). The §3.3 flat shell would ship 4 doubles (32 bytes) per
+// point, so 32 x points_shipped is the uncompressed reference.
 struct HaloTraffic {
   std::uint64_t bytes_sent = 0;
   std::uint64_t bytes_recv = 0;
   std::uint64_t points_shipped = 0;  // points this rank sent, all peers
-  std::uint64_t cells_sent = 0;      // kLet: LET cells shipped
-  std::uint64_t cells_pruned = 0;    // kLet: leaves kept off the wire
+  std::uint64_t cells_sent = 0;      // LET cells shipped
+  std::uint64_t cells_pruned = 0;    // leaves kept off the wire
 };
 
 struct PartitionResult {
-  // Owned galaxies first, then halo copies (HaloMode::kFullShell only —
-  // under kLet `local` stays owned-only and the halo arrives in `let`).
-  sim::Catalog local;
-  std::vector<std::uint8_t> owned;  // parallel to `local`
-  sim::Aabb domain;                 // this rank's leaf domain
-  int levels = 0;                   // k-d recursion depth experienced
-  // HaloMode::kLet: one decoded LET per peer, ascending peer rank. The
-  // runner hands these to Engine::Staged::extend_with_let, which unpacks
-  // only the cells within R_max of this rank's domain.
-  std::vector<tree::LetMessage> let;
+  sim::Catalog local;  // the galaxies this rank owns (its primaries)
+  // Halo copies decoded from every peer's LET, ascending peer rank: the
+  // secondaries-only points within R_max of `domain`.
+  sim::Catalog halo;
+  sim::Aabb domain;    // this rank's leaf domain
+  int levels = 0;      // k-d recursion depth experienced
   HaloTraffic traffic;
-
-  std::size_t owned_count() const {
-    std::size_t n = 0;
-    for (std::uint8_t o : owned) n += o ? 1u : 0u;
-    return n;
-  }
-  std::size_t halo_count() const { return owned.size() - owned_count(); }
-
-  // Indices into `local` usable as the engine's primary list.
-  std::vector<std::int64_t> owned_indices() const {
-    std::vector<std::int64_t> idx;
-    idx.reserve(owned.size());
-    for (std::size_t i = 0; i < owned.size(); ++i)
-      if (owned[i]) idx.push_back(static_cast<std::int64_t>(i));
-    return idx;
-  }
 };
 
 // A partition whose halo exchange is still in flight: `result.local` holds
-// exactly the owned galaxies (all sends are buffered, all receives posted);
-// complete_halo_exchange() appends the halo copies.
+// the owned galaxies (all sends are buffered, all receives posted);
+// complete_halo_exchange() fills `result.halo`.
 struct PendingPartition {
   PartitionResult result;
-  HaloMode mode = HaloMode::kFullShell;
+  double rmax = 0.0;
   std::vector<int> peers;                        // comm ranks, ascending
-  std::vector<RecvRequest<double>> halo_recvs;   // kFullShell, || to peers
-  std::vector<RecvRequest<std::uint8_t>> let_recvs;  // kLet, || to peers
-  HaloTraffic traffic;
+  std::vector<RecvRequest<std::uint8_t>> recvs;  // parallel to peers
 
   // Non-blocking progress on the outstanding halo receives: test()s every
   // posted request and returns true once all have claimed their message.
@@ -156,8 +127,9 @@ PendingPartition post_halo_exchange(
     PartitionPolicy policy = PartitionPolicy::kPrimaryBalanced,
     const HaloOptions& halo = {});
 
-// Drains the posted halo receives in peer-rank order (deterministic halo
-// layout) and returns the completed partition. Call exactly once.
+// Drains the posted halo receives in peer-rank order, decodes them into
+// `halo` (deterministic layout: peer rank, then sender cell order) and
+// returns the completed partition. Call exactly once.
 PartitionResult complete_halo_exchange(PendingPartition& pending);
 
 // Fused post + complete, for callers with nothing to overlap.

@@ -151,7 +151,6 @@ core::ZetaResult run_rank_pipeline(Comm& comm, const sim::Catalog& mine,
     Timer th;
     part = complete_halo_exchange(pending);
     rep.halo_seconds = th.seconds();
-    rep.held = part.local.size();
     rep.halo_bytes_sent = part.traffic.bytes_sent;
     rep.halo_bytes_recv = part.traffic.bytes_recv;
     rep.halo_points_shipped = part.traffic.points_shipped;
@@ -159,47 +158,27 @@ core::ZetaResult run_rank_pipeline(Comm& comm, const sim::Catalog& mine,
     rep.let_cells_pruned = part.traffic.cells_pruned;
   };
 
-  // Halo copies act as secondaries only. Under kLet they arrive as pruned
-  // LET cells and the engine unpacks them directly (dropping cells beyond
-  // R_max of this rank's domain); under kFullShell they were appended to
-  // `local` after the owned block.
+  // Halo copies act as secondaries only; complete_halo_exchange already
+  // decoded them into a plain catalog.
   const auto add_halo_secondaries = [&] {
-    if (cfg.halo.mode == HaloMode::kLet) {
-      std::size_t let_points = 0;
-      for (const tree::LetMessage& m : part.let) let_points += m.point_count();
-      rep.held = n_owned + let_points;
-      if (staged.valid() && let_points > 0) {
-        const core::Engine::SecondaryBound bound{part.domain.lo,
-                                                 part.domain.hi};
-        Timer ti;
-        staged.extend_with_let(part.let, bound);
-        rep.index_build_seconds += ti.seconds();
-      }
-    } else if (staged.valid() && part.local.size() > n_owned) {
-      sim::Catalog halo;
-      halo.reserve(part.local.size() - n_owned);
-      for (std::size_t i = n_owned; i < part.local.size(); ++i)
-        halo.push_back(part.local.position(i), part.local.w[i]);
-      Timer ti;
-      staged.extend_with_secondaries(halo);
-      rep.index_build_seconds += ti.seconds();
-    }
+    rep.held = n_owned + part.halo.size();
+    if (!staged.valid()) return;
+    Timer ti;
+    staged.extend_with_secondaries(part.halo);
+    rep.index_build_seconds += ti.seconds();
+  };
+
+  // The handle adopts the owned catalog instead of copying it; nothing
+  // below reads the partition's `local` again.
+  const auto build_owned_index = [&](sim::Catalog& owned) {
+    Timer ti;
+    staged = engine.build_index(std::move(owned));
+    rep.index_build_seconds += ti.seconds();
   };
 
   if (cfg.overlap == OverlapMode::kSequential) {
     complete_halo();
-    if (n_owned > 0) {
-      // The owned galaxies stay the first n_owned entries of the completed
-      // partition; snapshot that prefix once and MOVE it into the handle
-      // (build_index's copying overload would add a second O(N) copy).
-      sim::Catalog owned_only;
-      owned_only.reserve(n_owned);
-      for (std::size_t i = 0; i < n_owned; ++i)
-        owned_only.push_back(part.local.position(i), part.local.w[i]);
-      Timer ti;
-      staged = engine.build_index(std::move(owned_only));
-      rep.index_build_seconds += ti.seconds();
-    }
+    if (n_owned > 0) build_owned_index(part.local);
     add_halo_secondaries();
     comm.set_phase(Phase::kOwnedPass);  // the fused owned+halo traversal
     Timer teng;
@@ -208,11 +187,7 @@ core::ZetaResult run_rank_pipeline(Comm& comm, const sim::Catalog& mine,
     rep.engine_seconds = teng.seconds();
   } else {
     if (n_owned > 0) {
-      Timer ti;
-      // Copying overload: complete_halo_exchange will append to (and may
-      // reallocate) this buffer, so the handle needs its own.
-      staged = engine.build_index(pending.result.local);
-      rep.index_build_seconds += ti.seconds();
+      build_owned_index(pending.result.local);
       comm.set_phase(Phase::kOwnedPass);
       // Halo copies come from other ranks' domains, which tile space
       // disjointly from ours — so the k-d leaf domain bounds them away

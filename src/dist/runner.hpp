@@ -6,13 +6,14 @@
 //           → PASS 2: owned × halo (boundary leaves only)
 //           → O(log P) tree allreduce of the additive ZetaResult payload
 //
-// post_halo_exchange() returns with halo sends buffered and receives
-// posted; in the default OverlapMode::kTwoPass each rank then builds the
-// spatial index over its OWNED galaxies AND runs the whole owned-vs-owned
-// traversal (Engine::Staged::run_owned_pass, polling the outstanding
-// receives between leaf batches) before blocking on the exchange — the
-// entire O(N·n_nbr) kernel phase hides the halo, not just the index build.
-// The halo copies are then indexed into a secondary structure and
+// post_halo_exchange() returns with the LET halo sends buffered and
+// receives posted; in the default OverlapMode::kTwoPass each rank then
+// builds the spatial index over its OWNED galaxies AND runs the whole
+// owned-vs-owned traversal (Engine::Staged::run_owned_pass, polling the
+// outstanding receives between leaf batches) before blocking on the
+// exchange — the entire O(N·n_nbr) kernel phase hides the halo, not just
+// the index build. complete_halo_exchange() decodes the halo copies into a
+// plain catalog, which is indexed into a secondary structure, and
 // run_secondary_pass adds the owned-vs-halo completion exactly.
 // OverlapMode::kSequential, the A/B baseline, instead drains the exchange
 // first and runs one fused owned+halo traversal. The decomposition is
@@ -51,9 +52,8 @@ struct DistRunConfig {
   PartitionPolicy partition = PartitionPolicy::kPrimaryBalanced;
   // What hides the halo exchange (A/B measurement axis).
   OverlapMode overlap = OverlapMode::kTwoPass;
-  // How the halo crosses the wire: flat point shower (kFullShell, the
-  // reference) or pruned LET cells (kLet — comm volume scales with the
-  // domain boundary; see dist/partition.hpp HaloMode).
+  // Halo wire options: the pruned LET exchange, optionally with float32
+  // coordinates (see dist/partition.hpp).
   HaloOptions halo;
   // Comm-wide receive deadline in seconds; <= 0 (the default) keeps the
   // pre-deadline behavior (waits block forever). GALACTOS_DIST_TIMEOUT_S
@@ -93,11 +93,10 @@ struct RankReport {
   // Fig. 7 imbalance story is readable from any single report.
   double pair_imbalance = 0.0;
   // --- comm volume ---------------------------------------------------------
-  // Halo-exchange payload bytes (pre-framing, both wire formats) and the
-  // points this rank shipped to all peers; the LET counters are zero under
-  // kFullShell. let_cells_pruned counts owned-tree leaves the admissibility
-  // walk (or the per-point refinement) kept off the wire, summed over
-  // peers.
+  // Halo-exchange LET payload bytes (pre-framing) and the points this rank
+  // shipped to all peers. let_cells_pruned counts owned-tree leaves the
+  // admissibility walk (or the per-point refinement) kept off the wire,
+  // summed over peers.
   std::uint64_t halo_bytes_sent = 0;
   std::uint64_t halo_bytes_recv = 0;
   std::uint64_t halo_points_shipped = 0;

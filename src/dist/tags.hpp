@@ -8,8 +8,7 @@
 // channel a timeout or corruption happened on in human terms.
 //
 //   [1<<22, 1<<22+7)          partition collectives (one tag per phase)
-//   [1<<22+7, 1<<22+7+65536)  halo payloads, tag = kHalo + sender world rank
-//   [kHaloLimit, +65536)      LET halo payloads, tag = kLet + sender rank
+//   [1<<22+7, 1<<22+7+65536)  LET halo payloads, tag = kHalo + sender rank
 //   [1<<23, 1<<23+3)          runner reduce collectives
 //   [1<<23+3, 1<<23+6)        session-driver world traffic
 //   [1<<23+8, 1<<23+14)       FFT slab estimator (points/spill/transpose/ghost)
@@ -31,15 +30,11 @@ constexpr int kLeftToRight = kPartitionBase + 3;
 constexpr int kRightToLeft = kPartitionBase + 4;
 constexpr int kDomains = kPartitionBase + 5;
 constexpr int kCost = kPartitionBase + 6;
-// Open-ended range: halo payload from world rank r travels on kHalo + r.
+// Open-ended range: the serialized tree::LetMessage halo payload from
+// world rank r travels on kHalo + r.
 constexpr int kHalo = kPartitionBase + 7;
 constexpr int kHaloLimit = kHalo + (1 << 16);  // supported rank-count ceiling
-// Pruned-LET halo payloads (HaloMode::kLet): serialized tree::LetMessage
-// from world rank r travels on kLet + r. Same "halo" channel family, so
-// fault plans / timeout messages targeting the halo cover both modes.
-constexpr int kLet = kHaloLimit;
-constexpr int kLetLimit = kLet + (1 << 16);
-static_assert(kLetLimit < (1 << 23), "LET tag range collides with runner");
+static_assert(kHaloLimit < (1 << 23), "halo tag range collides with runner");
 
 // --- distributed runner (dist/runner.cpp) -----------------------------------
 constexpr int kRunnerBase = 1 << 23;
@@ -78,7 +73,7 @@ constexpr int kAbort = 1 << 25;
 inline const char* family(int tag) {
   if (tag == kAbort) return "abort";
   if (tag == kSessionBarrier) return "session-barrier";
-  if (tag >= kHalo && tag < kLetLimit) return "halo";
+  if (tag >= kHalo && tag < kHaloLimit) return "halo";
   if (tag >= kPartitionBase && tag < kHalo) return "partition";
   if (tag >= kFftPoints && tag <= kFftGhostHi) return "fft-slab";
   if (tag >= kReducePayload && tag < kWorldPayload) return "reduce";

@@ -26,11 +26,19 @@ void put_varint(std::vector<std::uint8_t>& buf, std::uint64_t v) {
   buf.push_back(static_cast<std::uint8_t>(v));
 }
 
+// Appends raw bytes by resize + memcpy: GCC 12 mis-sizes the destination
+// of a range insert into a reserved-but-empty vector and warns
+// -Wstringop-overflow.
+void put_bytes(std::vector<std::uint8_t>& buf, const void* src,
+               std::size_t n) {
+  const std::size_t at = buf.size();
+  buf.resize(at + n);
+  std::memcpy(buf.data() + at, src, n);
+}
+
 template <typename T>
 void put_raw(std::vector<std::uint8_t>& buf, T v) {
-  std::uint8_t tmp[sizeof(T)];
-  std::memcpy(tmp, &v, sizeof(T));
-  buf.insert(buf.end(), tmp, tmp + sizeof(T));
+  put_bytes(buf, &v, sizeof(T));
 }
 
 // Outward-rounded narrowing so a float AABB still contains every double
@@ -126,8 +134,8 @@ LetMessage build_let_message(const KdTree<Real>& tree,
       cell.hi[d] = static_cast<double>(lhi[d]);
     }
     cell.begin = msg.x.size();
-    // Per-point refinement: the exact full-shell shipping criterion, on
-    // the tree's stored coordinate planes.
+    // Per-point refinement: the exact §3.3 shell criterion, on the
+    // tree's stored coordinate planes.
     const std::int32_t b = tree.leaf_begin(leaf), e = tree.leaf_end(leaf);
     for (std::int32_t i = b; i < e; ++i) {
       const sim::Vec3 p{static_cast<double>(tree.x(i)),
@@ -171,7 +179,7 @@ std::vector<std::uint8_t> serialize_let(const LetMessage& msg) {
               msg.point_count() * (3 * coord_bytes +
                                    (msg.unit_weights ? 0 : 8)));
 
-  buf.insert(buf.end(), kMagic, kMagic + 4);
+  put_bytes(buf, kMagic, sizeof(kMagic));
   buf.push_back(kVersion);
   std::uint8_t flags = 0;
   if (msg.f32_coords) flags |= kFlagF32Coords;

@@ -62,10 +62,10 @@ struct LetStats {
 
 // Builds the LET for one peer: prunes the owned tree against the peer's
 // domain box at subtree level (leaves_in_reach), then refines surviving
-// leaves per point with the same criterion the full-shell exchange uses
+// leaves per point with the paper's §3.3 halo criterion
 // (peer_box.dist2(p) <= rmax^2 on the tree's stored coordinates), so the
-// shipped point set equals the full-shell set for a double-precision
-// tree. Cells emptied by the refinement are dropped (and counted pruned).
+// shipped point set equals the §3.3 shell for a double-precision tree.
+// Cells emptied by the refinement are dropped (and counted pruned).
 template <typename Real>
 LetMessage build_let_message(const KdTree<Real>& tree,
                              const sim::Aabb& peer_box, double rmax,

@@ -1,7 +1,10 @@
-# Command-line contract of the two CLIs, run by ctest as
+# Command-line contract of the two CLIs and the bench binaries, run by
+# ctest as
 #   cmake -DCLI=<binary> -DNAME=<program name> -DWORK=<scratch dir> -P cli_check.cmake
 #
 #   * --help prints "usage: <NAME>" on stdout and exits 0;
+#   * (bench_* binaries, which stop here) an unknown flag exits 1 with
+#     "error: ... unknown option" plus the usage on stderr;
 #   * --backend fft on a catalog file without --periodic-box exits 1 with an
 #     error naming --periodic-box (both CLIs spell the box flag the same);
 #   * the same run with --periodic-box is accepted;
@@ -9,9 +12,11 @@
 #     time;
 #   * a negative --threads or --ranks (and, for galactos_dist_main on the
 #     thread transport, --ranks 0) exits 1 with an error naming the flag;
-#   * a choice flag takes one spelling per value: an unknown --halo-mode (and,
+#   * a choice flag takes one spelling per value: an unknown --backend (and,
 #     for galactos_dist_main, --overlap index or an unknown --policy) exits 1
 #     with an error naming the valid choices;
+#   * --halo-mode is gone (the LET is the only halo exchange): passing it
+#     exits 1 naming the flag;
 #   * galactos --threads 1 --binary writes byte-identical .bin files on two
 #     runs of the same catalog (the bitwise-reproducibility contract that
 #     result comparisons across builds rely on).
@@ -38,6 +43,17 @@ file(WRITE ${cat} "${lines}")
 run_cli(--help)
 if(NOT rc EQUAL 0 OR NOT out MATCHES "usage: ${NAME}")
   message(FATAL_ERROR "${NAME} --help: exit ${rc}\n${out}${err}")
+endif()
+
+if(NAME MATCHES "^bench_")
+  run_cli(--bogus 1)
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "error: .*unknown option --bogus"
+     OR NOT err MATCHES "usage: ${NAME}")
+    message(FATAL_ERROR
+            "${NAME} --bogus 1: exit ${rc}, expected 1 with an error and the "
+            "usage\n${out}${err}")
+  endif()
+  return()
 endif()
 
 set(fft --backend fft --input ${cat} --rmin 2 --rmax 8 --nbins 2 --lmax 2
@@ -83,23 +99,33 @@ foreach(flag value IN ZIP_LISTS bad_flags bad_values)
 endforeach()
 
 # Choice flags: the error lists what is accepted.
-set(choice_flags --halo-mode)
-set(choice_values full-shell)
-set(choice_valid "full \\| let")
+set(choice_flags --backend)
+set(choice_values bogus)
+set(choice_valid "estimator backend 'bogus' \\(tree\\|fft\\)")
 if(NAME STREQUAL "galactos_dist_main")
   list(APPEND choice_flags --overlap --policy)
   list(APPEND choice_values index bogus)
-  list(APPEND choice_valid "two-pass \\| sequential" "pair \\| primary")
+  list(APPEND choice_valid "--overlap must be two-pass \\| sequential"
+       "--policy must be pair \\| primary")
 endif()
 foreach(flag value valid IN ZIP_LISTS choice_flags choice_values choice_valid)
   run_cli(--input ${cat} --rmin 2 --rmax 8 --nbins 2 --lmax 2 ${flag} ${value}
           --output cli_check_choice)
-  if(NOT rc EQUAL 1 OR NOT err MATCHES "${flag} must be ${valid}")
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "${valid}")
     message(FATAL_ERROR
             "${NAME} ${flag} ${value}: exit ${rc}, expected 1 naming the "
             "valid choices\n${out}${err}")
   endif()
 endforeach()
+
+# The removed halo selector is an unknown option now, not a silent no-op.
+run_cli(--input ${cat} --rmin 2 --rmax 8 --nbins 2 --lmax 2 --ranks 2
+        --halo-mode let --output cli_check_halo)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "unknown option --halo-mode")
+  message(FATAL_ERROR
+          "${NAME} --halo-mode let: exit ${rc}, expected 1 naming "
+          "--halo-mode\n${out}${err}")
+endif()
 
 if(NAME STREQUAL "galactos")
   # One thread fixes every accumulation order: two runs must agree to the

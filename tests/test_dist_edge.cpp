@@ -11,7 +11,10 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "dist/partition.hpp"
@@ -81,10 +84,18 @@ TEST(DistributedVsSingleEdge, OneRankIsBitwiseIdentical) {
 
   // Zero tolerance: identical primary order, no halo, identity reduction.
   expect_results_match(dist, single, 0.0, 0.0);
+  const std::vector<double> pa = dist.reduce_payload();
+  const std::vector<double> pb = single.reduce_payload();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (std::size_t i = 0; i < pa.size(); ++i) EXPECT_EQ(pa[i], pb[i]);
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0].owned, full.size());
   EXPECT_EQ(reports[0].held, full.size());
   EXPECT_EQ(reports[0].levels, 0);
+  // One rank has no peer: no LET is built and nothing crosses the wire.
+  EXPECT_EQ(reports[0].halo_bytes_sent, 0u);
+  EXPECT_EQ(reports[0].halo_bytes_recv, 0u);
+  EXPECT_EQ(reports[0].let_cells_sent + reports[0].let_cells_pruned, 0u);
 }
 
 class OctantClustered : public ::testing::TestWithParam<int> {};
@@ -100,18 +111,18 @@ TEST_P(OctantClustered, HaloCompletenessDoesNotDegrade) {
   std::map<std::tuple<double, double, double>, int> owner_count;
   for (const auto& r : results)
     for (std::size_t i = 0; i < r.local.size(); ++i)
-      if (r.owned[i])
-        owner_count[key(r.local.x[i], r.local.y[i], r.local.z[i])] += 1;
+      owner_count[key(r.local.x[i], r.local.y[i], r.local.z[i])] += 1;
   ASSERT_EQ(owner_count.size(), full.size());
   for (const auto& [k, count] : owner_count) EXPECT_EQ(count, 1);
 
-  // Halo completeness: every neighbor of every owned galaxy is present.
+  // Halo completeness: every neighbor of every owned galaxy is present,
+  // owned or decoded from a peer's LET.
   for (const auto& r : results) {
     std::set<std::tuple<double, double, double>> present;
-    for (std::size_t i = 0; i < r.local.size(); ++i)
-      present.insert(key(r.local.x[i], r.local.y[i], r.local.z[i]));
+    for (const s::Catalog* c : {&r.local, &r.halo})
+      for (std::size_t i = 0; i < c->size(); ++i)
+        present.insert(key(c->x[i], c->y[i], c->z[i]));
     for (std::size_t i = 0; i < r.local.size(); ++i) {
-      if (!r.owned[i]) continue;
       const s::Vec3 p = r.local.position(i);
       for (std::size_t j = 0; j < full.size(); ++j) {
         if ((full.position(j) - p).norm2() > rmax * rmax) continue;
@@ -156,8 +167,8 @@ TEST(DegenerateCatalogs, CoincidentGalaxiesStayExactlyOnce) {
   const auto results = partition_all(full, 4, 5.0);
   std::size_t owned = 0, held = 0;
   for (const auto& r : results) {
-    owned += r.owned_count();
-    held += r.local.size();
+    owned += r.local.size();
+    held += r.local.size() + r.halo.size();
   }
   EXPECT_EQ(owned, full.size());
   EXPECT_GE(held, full.size());
@@ -177,22 +188,31 @@ TEST(OctantClusteredRun, DistributedMatchesSingle) {
 // zero owned points (no staged engine at all — they contribute
 // empty_result and skip both passes); a huge R_max relative to rank
 // domains makes every leaf halo-adjacent. Both must stay exact under
-// every overlap mode and either halo wire format.
+// every overlap mode and either LET coordinate width (the f32 runs snap
+// the catalog to float32, on which the quantized wire is lossless).
 class OverlapModeEdges
-    : public ::testing::TestWithParam<std::tuple<d::OverlapMode, d::HaloMode>> {
+    : public ::testing::TestWithParam<std::tuple<d::OverlapMode, bool>> {
  protected:
+  bool f32() const { return std::get<1>(GetParam()); }
+  s::Catalog wire_exact(s::Catalog cat) const {
+    if (f32())
+      for (std::vector<double>* plane : {&cat.x, &cat.y, &cat.z})
+        for (double& v : *plane)
+          v = static_cast<double>(static_cast<float>(v));
+    return cat;
+  }
   d::DistRunConfig dist_config(const c::EngineConfig& ecfg, int ranks) const {
     d::DistRunConfig dcfg;
     dcfg.engine = ecfg;
     dcfg.ranks = ranks;
     dcfg.overlap = std::get<0>(GetParam());
-    dcfg.halo.mode = std::get<1>(GetParam());
+    dcfg.halo.let_f32 = f32();
     return dcfg;
   }
 };
 
 TEST_P(OverlapModeEdges, ZeroOwnedRanksStayExact) {
-  const s::Catalog full = s::uniform_box(5, s::Aabb::cube(8), 95);
+  const s::Catalog full = wire_exact(s::uniform_box(5, s::Aabb::cube(8), 95));
   c::EngineConfig ecfg;
   ecfg.bins = c::RadialBins(0.5, 6.0, 2);
   ecfg.lmax = 2;
@@ -220,6 +240,7 @@ TEST_P(OverlapModeEdges, EmptyHaloRanksStayExact) {
   s::Catalog full = s::uniform_box(300, s::Aabb::cube(20), 96);
   full.append(s::uniform_box(
       300, s::Aabb{{500, 500, 500}, {520, 520, 520}}, 97));
+  full = wire_exact(std::move(full));
   c::EngineConfig ecfg;
   ecfg.bins = c::RadialBins(1.0, 10.0, 3);
   ecfg.lmax = 3;
@@ -236,5 +257,9 @@ INSTANTIATE_TEST_SUITE_P(
     AllModes, OverlapModeEdges,
     ::testing::Combine(::testing::Values(d::OverlapMode::kSequential,
                                          d::OverlapMode::kTwoPass),
-                       ::testing::Values(d::HaloMode::kFullShell,
-                                         d::HaloMode::kLet)));
+                       ::testing::Bool()),
+    [](const auto& info) {
+      std::string n = d::overlap_mode_name(std::get<0>(info.param));
+      n += std::get<1>(info.param) ? "_f32" : "_f64";
+      return n;
+    });

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "dist/runner.hpp"
@@ -146,8 +147,9 @@ TEST(DistributedPipelineModes, PairCountsAgreeAcrossModes) {
 // The engine settings the two-pass split must carry through both passes:
 // each neighbor index and traversal order, mixed precision, the radial
 // line of sight and self-pair subtraction. Every variant, under either
-// overlap mode and either halo wire format, matches the single-node engine
-// run with the same settings.
+// overlap mode and either LET coordinate width, matches the single-node
+// engine run with the same settings. The f32 runs use a float32-snapped
+// catalog (both sides), on which the quantized wire is lossless.
 struct EngineVariant {
   const char* name;
   void (*apply)(c::EngineConfig&);
@@ -177,11 +179,15 @@ const EngineVariant kEngineVariants[] = {
 
 class DistributedEngineVariants
     : public ::testing::TestWithParam<
-          std::tuple<EngineVariant, d::OverlapMode, d::HaloMode>> {};
+          std::tuple<EngineVariant, d::OverlapMode, bool>> {};
 
 TEST_P(DistributedEngineVariants, MatchesSingleNode) {
-  const auto [variant, overlap, halo] = GetParam();
-  const s::Catalog full = galactos::testing::clumpy_catalog(900, 60.0, 61);
+  const auto [variant, overlap, f32] = GetParam();
+  s::Catalog full = galactos::testing::clumpy_catalog(900, 60.0, 61);
+  if (f32)
+    for (std::vector<double>* plane : {&full.x, &full.y, &full.z})
+      for (double& v : *plane)
+        v = static_cast<double>(static_cast<float>(v));
   c::EngineConfig ecfg = base_config();
   variant.apply(ecfg);
   c::EngineStats stats;
@@ -191,7 +197,7 @@ TEST_P(DistributedEngineVariants, MatchesSingleNode) {
   dcfg.engine = ecfg;
   dcfg.ranks = 3;
   dcfg.overlap = overlap;
-  dcfg.halo.mode = halo;
+  dcfg.halo.let_f32 = f32;
   std::vector<d::RankReport> reports;
   const c::ZetaResult dist = d::run_distributed(full, dcfg, &reports);
   expect_results_match(dist, single, 1e-10, 1e-10);
@@ -206,13 +212,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(kEngineVariants),
                        ::testing::Values(d::OverlapMode::kSequential,
                                          d::OverlapMode::kTwoPass),
-                       ::testing::Values(d::HaloMode::kFullShell,
-                                         d::HaloMode::kLet)),
+                       ::testing::Bool()),
     [](const auto& info) {
       std::string n = std::get<0>(info.param).name;
       n += '_';
       n += d::overlap_mode_name(std::get<1>(info.param));
-      n += std::get<2>(info.param) == d::HaloMode::kLet ? "_let" : "_full";
+      n += std::get<2>(info.param) ? "_f32" : "_f64";
       return n;
     });
 

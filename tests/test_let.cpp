@@ -1,16 +1,21 @@
-// Locally-essential-tree halo exchange (tree/let.hpp + HaloMode::kLet):
-// wire-format round trips, the superset-of-needed invariant against the
-// flat full-shell shipping criterion, kLet vs kFullShell equivalence over
-// the distributed sweep, and the degenerate boxes (empty peer, everything
-// in reach, more ranks than galaxies).
+// Locally-essential-tree halo exchange (tree/let.hpp, the one halo wire
+// format): wire-format round trips, the shipped set against a brute-force
+// §3.3 shell (per tree and, after a real partition, per rank), the
+// degenerate boxes (empty peer, everything in reach, more ranks than
+// galaxies), float32 coordinates, and a repeated 16-rank run that must
+// reproduce its bits every time.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <mutex>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "dist/partition.hpp"
 #include "dist/runner.hpp"
 #include "sim/generators.hpp"
 #include "test_helpers.hpp"
@@ -259,50 +264,66 @@ TEST(LetBuild, ReceiverCellFilterDropsOutOfReachCells) {
   for (const auto& p : needed) EXPECT_TRUE(have.count(p) > 0);
 }
 
-// --- kLet vs kFullShell over the distributed sweep --------------------------
+// --- the LET pipeline end to end ------------------------------------------
 
+// Every (ranks, partition policy, coordinate width) combination: after a
+// real k-d partition, each rank's decoded halo is EXACTLY the §3.3 shell —
+// every galaxy another rank owns within R_max of this rank's domain, once,
+// with its weight — and the traffic counters agree with it: every shipped
+// point is decoded exactly once and every byte sent is received. The
+// catalog is float32-representable so the f32 wire decodes the same
+// doubles as the f64 one.
 class LetPipeline
     : public ::testing::TestWithParam<
-          std::tuple<int, d::PartitionPolicy, d::OverlapMode>> {};
+          std::tuple<int, d::PartitionPolicy, bool>> {};
 
-TEST_P(LetPipeline, MatchesFullShell) {
-  const auto [ranks, policy, overlap] = GetParam();
-  const s::Catalog cat = galactos::testing::clumpy_catalog(1100, 65.0, 54);
+TEST_P(LetPipeline, HaloIsExactlyTheShell) {
+  const auto [ranks, policy, f32] = GetParam();
+  s::Catalog cat = galactos::testing::clumpy_catalog(1100, 65.0, 54);
+  for (std::vector<double>* plane : {&cat.x, &cat.y, &cat.z})
+    for (double& v : *plane)
+      v = static_cast<double>(static_cast<float>(v));
+  const double rmax = 9.0;
+  d::HaloOptions halo;
+  halo.let_f32 = f32;
 
-  d::DistRunConfig full;
-  full.engine = base_config();
-  full.ranks = ranks;
-  full.partition = policy;
-  full.overlap = overlap;
-  d::DistRunConfig let = full;
-  let.halo.mode = d::HaloMode::kLet;
+  std::vector<d::PartitionResult> results(ranks);
+  std::mutex mu;
+  d::run_ranks(ranks, [&](d::Comm& comm) {
+    s::Catalog mine;
+    for (std::size_t i = comm.rank(); i < cat.size();
+         i += static_cast<std::size_t>(comm.size()))
+      mine.push_back(cat.position(i), cat.w[i]);
+    d::PartitionResult res = d::kd_partition(comm, mine, rmax, policy, halo);
+    std::lock_guard<std::mutex> lock(mu);
+    results[comm.rank()] = std::move(res);
+  });
 
-  std::vector<d::RankReport> full_reports, let_reports;
-  const core::ZetaResult a = d::run_distributed(cat, full, &full_reports);
-  const core::ZetaResult b = d::run_distributed(cat, let, &let_reports);
-  galactos::testing::expect_results_match(a, b, 1e-10, 1e-10);
+  std::uint64_t shipped = 0, decoded = 0, sent = 0, recv = 0;
+  for (int r = 0; r < ranks; ++r) {
+    const d::PartitionResult& res = results[r];
+    std::multiset<std::tuple<double, double, double, double>> shell, have;
+    for (int o = 0; o < ranks; ++o) {
+      if (o == r) continue;
+      for (const auto& p : full_shell_set(results[o].local, res.domain, rmax))
+        shell.insert(p);
+    }
+    for (std::size_t i = 0; i < res.halo.size(); ++i)
+      have.insert({res.halo.x[i], res.halo.y[i], res.halo.z[i], res.halo.w[i]});
+    EXPECT_EQ(have, shell) << "rank " << r;
 
-  std::uint64_t full_pts = 0, let_pts = 0, let_bytes = 0, full_bytes = 0;
-  for (const auto& r : full_reports) {
-    full_pts += r.halo_points_shipped;
-    full_bytes += r.halo_bytes_sent;
-    EXPECT_EQ(r.let_cells_sent, 0u);
+    shipped += res.traffic.points_shipped;
+    decoded += res.halo.size();
+    sent += res.traffic.bytes_sent;
+    recv += res.traffic.bytes_recv;
   }
-  for (const auto& r : let_reports) {
-    let_pts += r.halo_points_shipped;
-    let_bytes += r.halo_bytes_sent;
-  }
-  // Same shipping criterion => identical point totals; and at f64 the LET
-  // never ships MORE halo bytes than the flat shower on a clustered box
-  // (weight elision alone guarantees it for unit weights; here weights are
-  // nontrivial, so just require the point sets to agree and bytes > 0).
-  EXPECT_EQ(let_pts, full_pts);
-  if (ranks > 1) {
-    EXPECT_GT(let_bytes, 0u);
-    EXPECT_GT(full_bytes, 0u);
+  EXPECT_EQ(shipped, decoded);
+  EXPECT_EQ(sent, recv);
+  if (ranks == 1) {
+    EXPECT_EQ(sent, 0u);
   } else {
-    EXPECT_EQ(let_bytes, 0u);
-    EXPECT_EQ(full_bytes, 0u);
+    EXPECT_GT(sent, 0u);
+    EXPECT_GT(shipped, 0u);
   }
 }
 
@@ -312,71 +333,62 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(1, 2, 3, 4, 8),
         ::testing::Values(d::PartitionPolicy::kPrimaryBalanced,
                           d::PartitionPolicy::kPairWeighted),
-        ::testing::Values(d::OverlapMode::kSequential,
-                          d::OverlapMode::kTwoPass)));
-
-TEST(LetPipelineEdge, SingleRankIsBitwiseFullShell) {
-  // One rank has no halo at all: the two modes must run the identical
-  // code path and produce bit-identical payloads (quantization off).
-  const s::Catalog cat = galactos::testing::clumpy_catalog(700, 50.0, 78);
-  d::DistRunConfig full;
-  full.engine = base_config();
-  full.ranks = 1;
-  d::DistRunConfig let = full;
-  let.halo.mode = d::HaloMode::kLet;
-
-  const std::vector<double> pa =
-      d::run_distributed(cat, full).reduce_payload();
-  const std::vector<double> pb = d::run_distributed(cat, let).reduce_payload();
-  ASSERT_EQ(pa.size(), pb.size());
-  for (std::size_t i = 0; i < pa.size(); ++i) EXPECT_EQ(pa[i], pb[i]);
-}
+        ::testing::Bool()),
+    [](const auto& info) {
+      std::string n = "ranks" + std::to_string(std::get<0>(info.param));
+      n += std::get<1>(info.param) == d::PartitionPolicy::kPairWeighted
+               ? "_pair"
+               : "_primary";
+      n += std::get<2>(info.param) ? "_f32" : "_f64";
+      return n;
+    });
 
 TEST(LetPipelineEdge, F32QuantizationStaysInGateAtMixedPrecision) {
   // On a catalog with float32-representable coordinates (the precision
   // survey catalogs are published at — and what the committed bench
-  // generates), the f32 wire format is bit-lossless: both halo modes see
-  // identical doubles and results agree to the 1e-10 distributed gate
-  // regardless of how the engine mixes float/double comparisons. Without
-  // the snap, borderline pairs can flip under quantization — that
-  // approximate regime is deliberately not gated.
+  // generates), the f32 wire format is bit-lossless: the receivers decode
+  // the same doubles as from the f64 format, so the results agree to the
+  // 1e-10 distributed gate regardless of how the engine mixes float/double
+  // comparisons. Without the snap, borderline pairs can flip under
+  // quantization — that approximate regime is deliberately not gated.
   s::Catalog cat = galactos::testing::clumpy_catalog(1100, 65.0, 54);
   for (std::vector<double>* plane : {&cat.x, &cat.y, &cat.z})
     for (double& v : *plane)
       v = static_cast<double>(static_cast<float>(v));
-  d::DistRunConfig full;
-  full.engine = base_config();
-  full.engine.tree.precision = core::TreePrecision::kMixed;
-  full.ranks = 4;
-  d::DistRunConfig let = full;
-  let.halo.mode = d::HaloMode::kLet;
-  let.halo.let_f32 = true;
+  d::DistRunConfig f64;
+  f64.engine = base_config();
+  f64.engine.tree.precision = core::TreePrecision::kMixed;
+  f64.ranks = 4;
+  d::DistRunConfig f32 = f64;
+  f32.halo.let_f32 = true;
 
-  std::vector<d::RankReport> full_reports, let_reports;
-  const core::ZetaResult a = d::run_distributed(cat, full, &full_reports);
-  const core::ZetaResult b = d::run_distributed(cat, let, &let_reports);
+  std::vector<d::RankReport> f64_reports, f32_reports;
+  const core::ZetaResult a = d::run_distributed(cat, f64, &f64_reports);
+  const core::ZetaResult b = d::run_distributed(cat, f32, &f32_reports);
   galactos::testing::expect_results_match(a, b, 1e-10, 1e-10);
 
   // f32 coords are the whole point: strictly fewer halo bytes than the
-  // 32-byte/point flat shower.
-  std::uint64_t full_bytes = 0, let_bytes = 0;
-  for (const auto& r : full_reports) full_bytes += r.halo_bytes_sent;
-  for (const auto& r : let_reports) let_bytes += r.halo_bytes_sent;
-  EXPECT_LT(let_bytes, full_bytes);
+  // f64 LET, let alone the 32-byte/point flat shell.
+  std::uint64_t f64_bytes = 0, f32_bytes = 0, f32_points = 0;
+  for (const auto& r : f64_reports) f64_bytes += r.halo_bytes_sent;
+  for (const auto& r : f32_reports) {
+    f32_bytes += r.halo_bytes_sent;
+    f32_points += r.halo_points_shipped;
+  }
+  EXPECT_LT(f32_bytes, f64_bytes);
+  EXPECT_LT(f32_bytes, 32 * f32_points);
 }
 
 TEST(LetPipelineEdge, MoreRanksThanGalaxiesStillCorrect) {
   // 20 galaxies over 6 ranks: some ranks end up empty and ship well-formed
   // empty LET messages.
   const s::Catalog cat = s::uniform_box(20, s::Aabb::cube(25), 79);
-  d::DistRunConfig full;
-  full.engine = base_config();
-  full.ranks = 6;
-  d::DistRunConfig let = full;
-  let.halo.mode = d::HaloMode::kLet;
-  const core::ZetaResult a = d::run_distributed(cat, full);
-  const core::ZetaResult b = d::run_distributed(cat, let);
-  galactos::testing::expect_results_match(a, b, 1e-10, 1e-10);
+  const core::ZetaResult single = core::Engine(base_config()).run(cat);
+  d::DistRunConfig cfg;
+  cfg.engine = base_config();
+  cfg.ranks = 6;
+  const core::ZetaResult dist = d::run_distributed(cat, cfg);
+  galactos::testing::expect_results_match(dist, single, 1e-10, 1e-10);
 }
 
 TEST(LetPipelineEdge, CommByteCountersObserveTraffic) {
@@ -384,7 +396,6 @@ TEST(LetPipelineEdge, CommByteCountersObserveTraffic) {
   d::DistRunConfig cfg;
   cfg.engine = base_config();
   cfg.ranks = 4;
-  cfg.halo.mode = d::HaloMode::kLet;
   std::vector<d::RankReport> reports;
   d::run_distributed(cat, cfg, &reports);
   ASSERT_EQ(reports.size(), 4u);
@@ -403,6 +414,37 @@ TEST(LetPipelineEdge, CommByteCountersObserveTraffic) {
     EXPECT_GT(r.phase_bytes_sent[static_cast<int>(d::Phase::kHaloPost)], 0u);
     EXPECT_GT(r.halo_bytes_sent + r.halo_bytes_recv, 0u);
     EXPECT_GT(r.let_cells_sent + r.let_cells_pruned, 0u);
+  }
+}
+
+// Race detector for the pipeline: 16 thread-ranks, one engine thread
+// each, two-pass overlap (halo polling inside the owned pass) and
+// pair-weighted cuts on a clumpy catalog. With one engine thread every
+// summation order is fixed, so K repeats must agree to the bit — a
+// divergence means a rank read data before it was complete — and each
+// must stay within the 1e-10 distributed gate of the single-node engine.
+TEST(LetStress, SixteenRanksRepeatBitwise) {
+  constexpr int kRepeats = 8;
+  const s::Catalog cat = galactos::testing::clumpy_catalog(2400, 90.0, 83);
+  const core::ZetaResult single = core::Engine(base_config()).run(cat);
+  d::DistRunConfig cfg;
+  cfg.engine = base_config();
+  cfg.ranks = 16;
+  cfg.partition = d::PartitionPolicy::kPairWeighted;
+
+  std::vector<double> first;
+  for (int k = 0; k < kRepeats; ++k) {
+    const core::ZetaResult dist = d::run_distributed(cat, cfg);
+    galactos::testing::expect_results_match(dist, single, 1e-10, 1e-10);
+    const std::vector<double> payload = dist.reduce_payload();
+    if (k == 0) {
+      first = payload;
+      continue;
+    }
+    ASSERT_EQ(payload.size(), first.size());
+    EXPECT_EQ(0, std::memcmp(payload.data(), first.data(),
+                             first.size() * sizeof(double)))
+        << "repeat " << k << " changed the bits of repeat 0";
   }
 }
 

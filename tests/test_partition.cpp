@@ -1,7 +1,7 @@
 // k-d partitioning invariants (paper §3.2): exactly-once ownership, load
 // balance proportional to sub-communicator sizes, domain disjointness, and
 // — the crucial one — halo completeness: every rank holds EVERY galaxy
-// within R_max of its owned galaxies.
+// within R_max of its owned galaxies, owned or decoded from a peer's LET.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -48,6 +48,16 @@ PartitionOutputs run_partition(
   return out;
 }
 
+// Every point a rank holds: its owned galaxies plus the decoded halo.
+std::set<std::tuple<double, double, double>> held_points(
+    const d::PartitionResult& r) {
+  std::set<std::tuple<double, double, double>> present;
+  for (const s::Catalog* c : {&r.local, &r.halo})
+    for (std::size_t i = 0; i < c->size(); ++i)
+      present.insert({c->x[i], c->y[i], c->z[i]});
+  return present;
+}
+
 // Ownership exactly-once + halo completeness — the invariants every policy
 // and every exchange schedule must preserve.
 void check_core_invariants(const s::Catalog& full,
@@ -56,17 +66,13 @@ void check_core_invariants(const s::Catalog& full,
   std::map<std::tuple<double, double, double>, int> owner_count;
   for (const auto& r : results)
     for (std::size_t i = 0; i < r.local.size(); ++i)
-      if (r.owned[i])
-        owner_count[{r.local.x[i], r.local.y[i], r.local.z[i]}] += 1;
+      owner_count[{r.local.x[i], r.local.y[i], r.local.z[i]}] += 1;
   ASSERT_EQ(owner_count.size(), full.size());
   for (const auto& [k, c] : owner_count) EXPECT_EQ(c, 1);
 
   for (const auto& r : results) {
-    std::set<std::tuple<double, double, double>> present;
-    for (std::size_t i = 0; i < r.local.size(); ++i)
-      present.insert({r.local.x[i], r.local.y[i], r.local.z[i]});
+    const auto present = held_points(r);
     for (std::size_t i = 0; i < r.local.size(); ++i) {
-      if (!r.owned[i]) continue;
       const s::Vec3 p = r.local.position(i);
       for (std::size_t j = 0; j < full.size(); ++j) {
         if ((full.position(j) - p).norm2() <= rmax * rmax) {
@@ -96,8 +102,7 @@ TEST_P(PartitionInvariants, OwnershipExactlyOnceAndComplete) {
   std::map<std::tuple<double, double, double>, int> owner_count;
   for (const auto& r : out.results)
     for (std::size_t i = 0; i < r.local.size(); ++i)
-      if (r.owned[i])
-        owner_count[key(r.local.x[i], r.local.y[i], r.local.z[i])] += 1;
+      owner_count[key(r.local.x[i], r.local.y[i], r.local.z[i])] += 1;
 
   EXPECT_EQ(owner_count.size(), full.size());
   for (const auto& [k, c] : owner_count) EXPECT_EQ(c, 1);
@@ -108,11 +113,8 @@ TEST_P(PartitionInvariants, OwnedGalaxiesInsideDomain) {
   const s::Catalog full = s::uniform_box(3000, s::Aabb::cube(80), 78);
   const auto out = run_partition(full, nranks, 10.0);
   for (const auto& r : out.results)
-    for (std::size_t i = 0; i < r.local.size(); ++i) {
-      if (r.owned[i]) {
-        EXPECT_TRUE(r.domain.contains_closed(r.local.position(i)));
-      }
-    }
+    for (std::size_t i = 0; i < r.local.size(); ++i)
+      EXPECT_TRUE(r.domain.contains_closed(r.local.position(i)));
 }
 
 TEST_P(PartitionInvariants, LoadBalanceProportional) {
@@ -123,25 +125,21 @@ TEST_P(PartitionInvariants, LoadBalanceProportional) {
   // per level of the exact proportional share; allow 1%.
   const double share = static_cast<double>(full.size()) / nranks;
   for (const auto& r : out.results)
-    EXPECT_NEAR(static_cast<double>(r.owned_count()) / share, 1.0, 0.01)
-        << "rank owns " << r.owned_count();
+    EXPECT_NEAR(static_cast<double>(r.local.size()) / share, 1.0, 0.01)
+        << "rank owns " << r.local.size();
 }
 
 TEST_P(PartitionInvariants, HaloCompleteness) {
   // For every owned galaxy, every other galaxy of the full catalog within
-  // rmax must be present locally (owned or halo).
+  // rmax must be present locally (owned or decoded from a peer's LET).
   const int nranks = GetParam();
   const s::Catalog full = s::uniform_box(1500, s::Aabb::cube(60), 80);
   const double rmax = 12.0;
   const auto out = run_partition(full, nranks, rmax);
 
   for (const auto& r : out.results) {
-    std::set<std::tuple<double, double, double>> present;
-    for (std::size_t i = 0; i < r.local.size(); ++i)
-      present.insert(key(r.local.x[i], r.local.y[i], r.local.z[i]));
-
+    const auto present = held_points(r);
     for (std::size_t i = 0; i < r.local.size(); ++i) {
-      if (!r.owned[i]) continue;
       const s::Vec3 p = r.local.position(i);
       for (std::size_t j = 0; j < full.size(); ++j) {
         const double d2 = (full.position(j) - p).norm2();
@@ -155,15 +153,21 @@ TEST_P(PartitionInvariants, HaloCompleteness) {
 }
 
 TEST_P(PartitionInvariants, HaloGalaxiesAreNearDomain) {
-  // No rank should hold galaxies far outside its expanded domain.
+  // No rank should receive halo galaxies far outside its expanded domain,
+  // and none of them is a galaxy the rank owns itself.
   const int nranks = GetParam();
   const s::Catalog full = s::uniform_box(2000, s::Aabb::cube(70), 81);
   const double rmax = 9.0;
   const auto out = run_partition(full, nranks, rmax);
   for (const auto& r : out.results) {
     const s::Aabb expanded = r.domain.expanded(rmax * 1.0000001);
+    std::set<std::tuple<double, double, double>> owned;
     for (std::size_t i = 0; i < r.local.size(); ++i)
-      EXPECT_TRUE(expanded.contains_closed(r.local.position(i)));
+      owned.insert(key(r.local.x[i], r.local.y[i], r.local.z[i]));
+    for (std::size_t i = 0; i < r.halo.size(); ++i) {
+      EXPECT_TRUE(expanded.contains_closed(r.halo.position(i)));
+      EXPECT_FALSE(owned.count(key(r.halo.x[i], r.halo.y[i], r.halo.z[i])));
+    }
   }
 }
 
@@ -176,28 +180,38 @@ TEST(Partition, WeightsSurviveExchange) {
   for (std::size_t i = 0; i < full.size(); ++i)
     full.w[i] = 1.0 + static_cast<double>(i % 7);
   const auto out = run_partition(full, nranks, 6.0);
-  // Total owned weight preserved.
+  // Total owned weight preserved, and every decoded halo copy carries the
+  // weight of the galaxy it copies.
+  std::map<std::tuple<double, double, double>, double> weight_of;
+  for (std::size_t i = 0; i < full.size(); ++i)
+    weight_of[key(full.x[i], full.y[i], full.z[i])] = full.w[i];
   double total = 0;
-  for (const auto& r : out.results)
-    for (std::size_t i = 0; i < r.local.size(); ++i)
-      if (r.owned[i]) total += r.local.w[i];
+  std::size_t halo_points = 0;
+  for (const auto& r : out.results) {
+    for (std::size_t i = 0; i < r.local.size(); ++i) total += r.local.w[i];
+    for (std::size_t i = 0; i < r.halo.size(); ++i)
+      EXPECT_EQ(r.halo.w[i],
+                weight_of.at(key(r.halo.x[i], r.halo.y[i], r.halo.z[i])));
+    halo_points += r.halo.size();
+  }
   EXPECT_NEAR(total, full.total_weight(), 1e-9);
+  EXPECT_GT(halo_points, 0u);
 }
 
 TEST(Partition, SingleRankKeepsEverything) {
   const s::Catalog full = s::uniform_box(300, s::Aabb::cube(30), 83);
   const auto out = run_partition(full, 1, 5.0);
-  EXPECT_EQ(out.results[0].owned_count(), full.size());
-  EXPECT_EQ(out.results[0].halo_count(), 0u);
+  EXPECT_EQ(out.results[0].local.size(), full.size());
+  EXPECT_EQ(out.results[0].halo.size(), 0u);
   EXPECT_EQ(out.results[0].levels, 0);
 }
 
 // --- split-phase halo exchange + partition policies ----------------------
 
 TEST(SplitPhaseHalo, PostThenCompleteMatchesInvariants) {
-  // post_halo_exchange must return with only owned points and all-owned
-  // flags; completing later (after unrelated work) must restore every
-  // partition invariant.
+  // post_halo_exchange must return with only owned points and no halo;
+  // completing later (after unrelated work) must decode the halo without
+  // touching the owned block and restore every partition invariant.
   const int nranks = 5;
   const double rmax = 10.0;
   const s::Catalog full = s::uniform_box(1600, s::Aabb::cube(60), 84);
@@ -207,8 +221,7 @@ TEST(SplitPhaseHalo, PostThenCompleteMatchesInvariants) {
     const s::Catalog mine = scatter_slice(full, comm.rank(), comm.size());
     d::PendingPartition pend = d::post_halo_exchange(comm, mine, rmax);
     const std::size_t n_owned = pend.result.local.size();
-    EXPECT_EQ(pend.result.owned.size(), n_owned);
-    for (std::uint8_t o : pend.result.owned) EXPECT_EQ(o, 1);
+    EXPECT_TRUE(pend.result.halo.empty());
     EXPECT_EQ(pend.peers.size(), static_cast<std::size_t>(nranks - 1));
 
     // Simulate overlapped work between post and complete.
@@ -217,7 +230,8 @@ TEST(SplitPhaseHalo, PostThenCompleteMatchesInvariants) {
     (void)busy;
 
     d::PartitionResult res = d::complete_halo_exchange(pend);
-    EXPECT_EQ(res.owned_count(), n_owned);  // halo appended after owned
+    EXPECT_EQ(res.local.size(), n_owned);  // the halo lands in `halo`
+    EXPECT_GT(res.halo.size(), 0u);
     std::lock_guard<std::mutex> lock(mu);
     results[comm.rank()] = std::move(res);
   });
@@ -258,9 +272,8 @@ TEST(PairWeighted, ImprovesPairBalanceOnClusteredCatalog) {
     for (const auto& r : out.results) {
       double p = 0;
       for (std::size_t i = 0; i < r.local.size(); ++i)
-        if (r.owned[i])
-          p += static_cast<double>(index.count_within(
-              r.local.x[i], r.local.y[i], r.local.z[i], rmax));
+        p += static_cast<double>(index.count_within(
+            r.local.x[i], r.local.y[i], r.local.z[i], rmax));
       pairs.push_back(p);
     }
     double mx = 0, sum = 0;

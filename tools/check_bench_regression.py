@@ -112,10 +112,10 @@ import tempfile
 # exceed any relative tolerance without meaning anything.
 IMBALANCE_ABS_FLOOR = 0.02
 
-# The distributed correctness contract: kLet results must match kFullShell
-# to this tolerance. The bench records zeta_max_rel_diff as the worst
-# payload deviation normalized by the payload's max magnitude —
-# summation-reorder round-off lands at ~1e-15, a single flipped pair at
+# The distributed correctness contract: LET results must match the
+# single-node engine to this tolerance. The bench records zeta_max_rel_diff
+# as the worst payload deviation normalized by the payload's max magnitude
+# — summation-reorder round-off lands at ~1e-15, a single flipped pair at
 # ~1e-7, so this gate separates the regimes by three decades either way.
 HALO_ZETA_REL_GATE = 1e-10
 
@@ -206,12 +206,18 @@ def check_hidden(baseline, fresh, tol, floor, violations):
         print(f"{name:<12} {base_frac:>12.3f} {fresh_frac:>13.3f}  {verdict}")
 
 
+# The §3.3 flat shell ships each halo point as four doubles; the bench
+# derives its bytes from the LET's shipped point count (the same set).
+FULL_SHELL_BYTES_PER_POINT = 32
+
+
 def check_halo_compression(fresh, ceiling, violations):
-    """LET halo bytes must stay at or below CEILING x the full-shell bytes
-    for every policy in the fresh file's halo_compression section, and the
-    paired runs must agree on zeta to the distributed 1e-10 gate. Both are
-    absolute contracts (the catalog is seeded and the partition
-    deterministic), so no baseline section is needed."""
+    """LET halo bytes must stay at or below CEILING x the derived flat-shell
+    bytes (32 x let_points_shipped) for every policy in the fresh file's
+    halo_compression section, and the LET run must agree on zeta with the
+    single-node engine to the distributed 1e-10 gate. Both are absolute
+    contracts (the catalog is seeded and the partition deterministic), so
+    no baseline section is needed."""
     hc = fresh.get("halo_compression")
     if hc is None:
         violations.append(
@@ -219,7 +225,7 @@ def check_halo_compression(fresh, ceiling, violations):
             "(the bench stopped reporting the gated metric)")
         print("\nhalo-compression gate: section MISSING from the fresh file")
         return
-    print(f"\n{'policy':<17} {'full-shell B':>12} {'LET B':>12} {'ratio':>7}"
+    print(f"\n{'policy':<17} {'flat-shell B':>12} {'LET B':>12} {'ratio':>7}"
           f" {'ceiling':>8} {'zeta diff':>10}  verdict")
     for row in hc.get("policies", []):
         policy = row["policy"]
@@ -228,16 +234,22 @@ def check_halo_compression(fresh, ceiling, violations):
         ratio = let / full if full else 0.0
         zdiff = row.get("zeta_max_rel_diff", 0.0)
         verdicts = []
+        derived = FULL_SHELL_BYTES_PER_POINT * row["let_points_shipped"]
+        if full != derived:
+            verdicts.append(
+                f"halo_compression ({policy}): full_shell_bytes {full} is "
+                f"not {FULL_SHELL_BYTES_PER_POINT} x let_points_shipped "
+                f"({derived})")
         if full and let > ceiling * full:
             verdicts.append(
                 f"halo_compression ({policy}): LET bytes {let} exceed "
-                f"{ceiling:g} x full-shell {full} (ratio {ratio:.3f} — the "
+                f"{ceiling:g} x flat-shell {full} (ratio {ratio:.3f} — the "
                 f"pruned exchange stopped compressing)")
         if zdiff > HALO_ZETA_REL_GATE:
             verdicts.append(
                 f"halo_compression ({policy}): zeta_max_rel_diff {zdiff:.3e} "
                 f"exceeds the {HALO_ZETA_REL_GATE:g} distributed gate "
-                f"(kLet no longer matches kFullShell)")
+                f"(LET no longer matches the single-node engine)")
         print(f"{policy:<17} {full:>12} {let:>12} {ratio:>7.3f}"
               f" {ceiling:>8.3f} {zdiff:>10.2e}  "
               f"{'REGRESSED' if verdicts else 'ok'}")
@@ -603,6 +615,7 @@ def self_test():
         "ranks": 4, "let_f32": True,
         "policies": [
             {"policy": "pair_weighted", "full_shell_bytes": 100000,
+             "let_points_shipped": 3125,
              "let_bytes": 42000, "ratio": 0.42,
              "zeta_max_rel_diff": 3e-13},
         ],
@@ -619,6 +632,8 @@ def self_test():
     del halo_gone["halo_compression"]
     halo_broken = json.loads(json.dumps(dist_doc))
     del halo_broken["halo_compression"]["policies"][0]["let_bytes"]
+    halo_underived = json.loads(json.dumps(dist_doc))
+    halo_underived["halo_compression"]["policies"][0]["let_points_shipped"] = 3000
     fig4 = {
         "bench": "fig4_breakdown",
         "config": {k: 1 for k in FIG4_CONFIG_KEYS},
@@ -706,6 +721,11 @@ def self_test():
              "stopped reporting the gated metric",
              ["--baseline", good, "--fresh",
               fixture("halo_gone.json", halo_gone),
+              "--halo-bytes-ratio-ceiling", "0.5"]),
+            ("flat-shell bytes not derived from points fails", 1,
+             "not 32 x let_points_shipped",
+             ["--baseline", good, "--fresh",
+              fixture("halo_underived.json", halo_underived),
               "--halo-bytes-ratio-ceiling", "0.5"]),
             ("malformed halo_compression is one line", None,
              "malformed bench JSON",
@@ -806,9 +826,10 @@ def main():
     ap.add_argument("--halo-bytes-ratio-ceiling", type=float, default=None,
                     help="dist files: per policy in the fresh file's "
                          "halo_compression section, LET halo bytes must stay "
-                         "at or below this fraction of the full-shell bytes, "
-                         "and zeta_max_rel_diff must stay within the 1e-10 "
-                         "distributed gate (absolute contracts — no baseline "
+                         "at or below this fraction of the flat-shell bytes "
+                         "(32 x let_points_shipped), and zeta_max_rel_diff "
+                         "against the single-node engine must stay within "
+                         "the 1e-10 gate (absolute contracts — no baseline "
                          "slack; omitted = halo check off)")
     ap.add_argument("--kernel-gflops-floor", type=float, default=None,
                     help="fig4 files: fresh kernel_gflops must stay at or "

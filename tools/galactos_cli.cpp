@@ -43,8 +43,7 @@ constexpr const char* kUsage =
     "usage: galactos --input <catalog> [--randoms <catalog>]\n"
     "  [--rmin 1] --rmax <R> [--nbins 10] [--lmax 10]\n"
     "  [--log-bins] [--periodic-box <side>] [--radial-los]\n"
-    "  [--observer-{x,y,z} 0] [--ranks 1] [--halo-mode full|let]\n"
-    "  [--threads 0]\n"
+    "  [--observer-{x,y,z} 0] [--ranks 1] [--threads 0]\n"
     "  [--double-precision] [--subtract-self]\n"
     "  [--backend tree|fft] [--grid-n 128]\n"
     "  [--assignment ngp|cic|tsc] [--interlace 0|1]\n"
@@ -85,9 +84,6 @@ int run(int argc, char** argv) {
   const double oy = args.get<double>("observer-y", 0.0);
   const double oz = args.get<double>("observer-z", 0.0);
   const int ranks = args.get<int>("ranks", 1);
-  // Distributed halo wire format: full (flat point shower) | let (pruned
-  // locally-essential tree). Tree backend with --ranks > 1 only.
-  const std::string halo_arg = args.get_str("halo-mode", "full");
   const int threads = args.get<int>("threads", 0);
   const bool dbl = args.flag("double-precision");
   const bool self = args.flag("subtract-self");
@@ -122,14 +118,6 @@ int run(int argc, char** argv) {
   if (radial) {
     cfg.los = core::LineOfSight::kRadial;
     cfg.observer = {ox, oy, oz};
-  }
-
-  dist::HaloOptions halo;
-  if (halo_arg == "let") {
-    halo.mode = dist::HaloMode::kLet;
-  } else {
-    GLX_CHECK_MSG(halo_arg == "full", "--halo-mode must be full | let (got '"
-                                          << halo_arg << "')");
   }
 
   cfg.backend = core::backend_from_name(backend);
@@ -176,12 +164,10 @@ int run(int argc, char** argv) {
     result = core::periodic_box_3pcf(data, sim::Aabb::cube(periodic), cfg,
                                      &stats);
   } else if (ranks > 1) {
-    std::printf("distributed mode: %d ranks, halo %s\n", ranks,
-                dist::halo_mode_name(halo.mode));
+    std::printf("distributed mode: %d ranks\n", ranks);
     dist::DistRunConfig dcfg;
     dcfg.engine = cfg;
     dcfg.ranks = ranks;
-    dcfg.halo = halo;
     std::vector<dist::RankReport> reports;
     Timer timer;
     result = dist::run_distributed(data, dcfg, &reports);

@@ -47,8 +47,8 @@ constexpr const char* kUsage =
     "  [--rmin rmax/nbins] [--rmax 16] [--nbins 10] [--lmax 10]\n"
     "  [--ranks 4 (threads) | mpirun world (MPI)] [--threads 1]\n"
     "  [--timeout-s 0] [--policy pair|primary]\n"
-    "  [--overlap two-pass|sequential] [--halo-mode full|let]\n"
-    "  [--let-f32] [--backend tree|fft] [--grid-n 128]\n"
+    "  [--overlap two-pass|sequential] [--let-f32]\n"
+    "  [--backend tree|fft] [--grid-n 128]\n"
     "  [--assignment ngp|cic|tsc] [--interlace 0|1]\n"
     "  [--periodic-box <side>] [--output <prefix>] [--json <file>] [--help]\n";
 
@@ -78,12 +78,9 @@ int run_with_session(dist::Session& session, int argc, char** argv) {
   const std::string policy = args.get_str("policy", "pair");
   // Overlap depth: two-pass (default) | sequential.
   const std::string overlap_arg = args.get_str("overlap", "two-pass");
-  // Halo wire format: full (flat point shower, the reference) | let
-  // (pruned locally-essential tree — comm volume scales with the domain
-  // boundary). --let-f32 additionally quantizes LET coordinates to float32
-  // on the wire (safe at the default kMixed tree precision, where the
-  // stored planes are float anyway).
-  const std::string halo_arg = args.get_str("halo-mode", "full");
+  // Quantize the LET halo's coordinates to float32 on the wire (safe at
+  // the default kMixed tree precision, where the stored planes are float
+  // anyway).
   const bool let_f32 = args.flag("let-f32");
   const std::string output = args.get_str("output", "");
   const std::string json_path = args.get_str("json", "");
@@ -145,12 +142,6 @@ int run_with_session(dist::Session& session, int argc, char** argv) {
     throw std::runtime_error("--overlap must be two-pass | sequential (got '" +
                              overlap_arg + "')");
   }
-  if (halo_arg == "let") {
-    cfg.halo.mode = dist::HaloMode::kLet;
-  } else if (halo_arg != "full") {
-    throw std::runtime_error("--halo-mode must be full | let (got '" +
-                             halo_arg + "')");
-  }
   cfg.halo.let_f32 = let_f32;
   cfg.engine.backend = core::backend_from_name(backend);
   if (cfg.engine.backend == core::EstimatorBackend::kFFT) {
@@ -209,9 +200,8 @@ int run_with_session(dist::Session& session, int argc, char** argv) {
                 static_cast<unsigned long long>(result.n_pairs), imbalance,
                 elapsed);
     std::printf(
-        "halo mode %s  halo bytes %llu  points shipped %llu  "
-        "let cells pruned %llu  total comm bytes %llu\n",
-        dist::halo_mode_name(cfg.halo.mode),
+        "halo bytes %llu  points shipped %llu  let cells pruned %llu  "
+        "total comm bytes %llu\n",
         static_cast<unsigned long long>(halo_sent),
         static_cast<unsigned long long>(halo_pts),
         static_cast<unsigned long long>(cells_pruned),
@@ -232,7 +222,6 @@ int run_with_session(dist::Session& session, int argc, char** argv) {
                                              : "pair_weighted")
           .add("overlap_mode",
                std::string(dist::overlap_mode_name(cfg.overlap)))
-          .add("halo_mode", std::string(dist::halo_mode_name(cfg.halo.mode)))
           .add("let_f32", cfg.halo.let_f32 ? 1 : 0)
           .add("halo_bytes_sent", halo_sent)
           .add("halo_points_shipped", halo_pts)
